@@ -29,9 +29,7 @@ EXIT_USAGE = 3
 class RunConfig:
     node_budget: Optional[int]
     time_budget: Optional[float]
-    parallelism: int = 1
     checkpoint: Optional[str] = None
-    output_format: str = "text"
 
     def budget(self) -> Budget:
         if self.node_budget is None and self.time_budget is None:
@@ -41,20 +39,18 @@ class RunConfig:
 
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget-nodes", type=int, default=None,
-                   help="search node cap (default: env or 5e6)")
+                   help="cap on search nodes; pebbling-number charges one "
+                        "per DP candidate (default: env or 5e6)")
     p.add_argument("--budget-seconds", type=float, default=None,
                    help="wall-time cap in seconds")
-    p.add_argument("--parallelism", type=int, default=1,
-                   help="worker degree; results are schedule-independent")
     p.add_argument("--checkpoint", default=None,
-                   help="resumable sweep checkpoint file")
+                   help="resume file for pebbling-number: keeps the last "
+                        "completed level of unsolvable distributions per "
+                        "target, and a rerun continues from it")
 
 
 def _config(args) -> RunConfig:
-    if getattr(args, "parallelism", 1) < 1:
-        raise PebbleError("parallelism must be >= 1")
     return RunConfig(args.budget_nodes, args.budget_seconds,
-                     getattr(args, "parallelism", 1),
                      getattr(args, "checkpoint", None))
 
 

@@ -3,10 +3,20 @@
 The solver decides t-solvability by depth-first search over distributions
 with a transposition table, after a stack of cheap checks: target already
 covered, a single vertex rich enough to pay the full 2^d toll, a greedy
-run, and the exact-rational potential cutoff. Pebbling and t-pebbling
-numbers are computed by sweeping all distributions of size k upward from a
-certified lower bound; level monotonicity (adding a pebble never breaks
-solvability) makes the first all-solvable level the answer.
+run, and the exact-rational potential cutoff.
+
+Pebbling and t-pebbling numbers come from a dynamic program over the
+unsolvable distributions, not from the solver. They form a down-set
+(removing a pebble never makes a distribution solvable), so every
+unsolvable distribution of size k is an unsolvable one of size k-1 plus a
+pebble. From the exact set U_{k-1}, each candidate u + e_v is unsolvable
+iff it holds fewer than t pebbles on the target and every legal move,
+including moves out of the target, lands in U_{k-1}. The first empty
+level is f_t(G, target), and the colex-first member of the last non-empty
+level is the witness. The work, and what a ``Budget`` is charged (one node
+per candidate), scales with the unsolvable set rather than with the
+C(k+n-1, n-1) distributions of a level. ``sweep_level`` still classifies a
+single level by enumeration and the solver; tests use it as the reference.
 
 All arithmetic that feeds a pruning decision is exact integer arithmetic;
 no floating point is involved anywhere in the search.
@@ -26,8 +36,8 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import (BudgetExceeded, InsufficientPebbles, InvalidParameter,
-                     NotAdjacent, UnknownVertex)
+from .errors import (BudgetExceeded, DisconnectedGraph, InsufficientPebbles,
+                     InvalidParameter, NotAdjacent, UnknownVertex)
 from .graphs import Graph, VertexLabel, parse_label
 
 # ---------------------------------------------------------------------------
@@ -440,6 +450,7 @@ def sweep_level(g: Graph, k: int, target: VertexLabel, t: int = 1,
     pebbles already on the target, rows where one vertex can pay the 2^d
     toll alone, and rows whose exact potential falls below t (these are
     certified unsolvable without search). The rest go through the solver.
+    Either path returns the first unsolvable row in colex order.
     """
     ti = g.index_of(target)
     count = comb(k + g.n - 1, g.n - 1)
@@ -457,18 +468,20 @@ def sweep_level(g: Graph, k: int, target: VertexLabel, t: int = 1,
     for v in range(g.n):
         pot += arr[:, v].astype(np.int64) << (ecc - dist[v])
     unsolv = pot < goal
-    if unsolv.any():
-        idx = int(np.argmax(unsolv))
-        return SweepResult(False, Distribution.from_vector(g, arr[idx]), idx + 1)
+    # rows after the first potential-certified one need no solver call
+    first_cert = int(np.argmax(unsolv)) if unsolv.any() else count
 
-    solved = arr[:, ti] >= t
+    solved = arr[:first_cert, ti] >= t
     thresh = np.array([min(t << dist[v], k + 1) for v in range(g.n)], dtype=np.int16)
-    solved |= (arr >= thresh[None, :]).any(axis=1)
+    solved |= (arr[:first_cert] >= thresh[None, :]).any(axis=1)
 
     for idx in np.nonzero(~solved)[0]:
         ok, _, _ = _solve_counts(g, [int(c) for c in arr[idx]], ti, t, budget)
         if not ok:
             return SweepResult(False, Distribution.from_vector(g, arr[idx]), int(idx) + 1)
+    if first_cert < count:
+        return SweepResult(False, Distribution.from_vector(g, arr[first_cert]),
+                           first_cert + 1)
     return SweepResult(True, None, count)
 
 
@@ -491,30 +504,58 @@ def _sweep_level_python(g: Graph, k: int, ti: int, t: int,
 
 
 class SweepCheckpoint:
-    """Resumable cursor for a long level sweep, persisted as JSON."""
+    """Resumable progress of long computations, persisted as one JSON file.
+
+    ``sweep_level`` keeps a cursor into the level it sweeps.
+    ``compute_pebbling`` keeps, per graph hash, target and t, the last
+    completed non-empty level of unsolvable distributions, so a resumed run
+    continues from there.
+    """
 
     def __init__(self, path: str):
         self.path = path
         self._header: dict | None = None
+        self._data: dict | None = None
+
+    def _load(self) -> dict:
+        if self._data is None:
+            self._data = {}
+            if os.path.exists(self.path):
+                with open(self.path) as fh:
+                    self._data = json.load(fh)
+        return self._data
+
+    def _store(self) -> None:
+        tmp = self.path + ".tmp"
+        with open(tmp, "w") as fh:
+            json.dump(self._load(), fh)
+        os.replace(tmp, self.path)
 
     def resume(self, g: Graph, k: int, target_idx: int, t: int) -> int:
         header = {"graph_hash": graph_hash(g), "k": k, "target": target_idx, "t": t}
         self._header = header
-        if os.path.exists(self.path):
-            with open(self.path) as fh:
-                data = json.load(fh)
-            if all(data.get(key) == val for key, val in header.items()):
-                return int(data.get("cursor", 0))
+        data = self._load()
+        if all(data.get(key) == val for key, val in header.items()):
+            return int(data.get("cursor", 0))
         return 0
 
     def record(self, cursor: int, verdict: str) -> None:
-        data = dict(self._header or {})
-        data["cursor"] = cursor
-        data["running_verdict"] = verdict
-        tmp = self.path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(data, fh)
-        os.replace(tmp, self.path)
+        self._load().update(self._header or {}, cursor=cursor, running_verdict=verdict)
+        self._store()
+
+    def load_level(self, key: str, bits: int) -> Optional[tuple[int, set[int], int]]:
+        """(k, packed U_k, candidates checked so far) saved under key, if any."""
+        entry = self._load().get("levels", {}).get(key)
+        if entry is None or entry["bits"] != bits:
+            return None
+        return entry["k"], set(entry["unsolvable"]), entry["candidates"]
+
+    def save_level(self, key: str, bits: int, k: int, level: set[int],
+                   candidates: int) -> None:
+        self._load().setdefault("levels", {})[key] = {
+            "bits": bits, "k": k, "candidates": candidates,
+            "unsolvable": sorted(level)}
+        self._store()
 
 
 def graph_hash(g: Graph) -> str:
@@ -533,22 +574,6 @@ class PebblingReport:
     witness: Optional[tuple[Distribution, VertexLabel]]  # unsolvable at size value-1
     distributions_checked: int = 0
     restricted_targets: bool = False
-
-
-def _certified_floor(g: Graph, ti: int, t: int) -> int:
-    """A size k such that an unsolvable size-(k-1) distribution provably
-    exists: one pebble on every other vertex (no move is possible), or
-    t*2^ecc - 1 pebbles at full distance (potential < t)."""
-    return max(g.n, t << g.eccentricity(ti))
-
-
-def _floor_witness(g: Graph, ti: int, t: int) -> Distribution:
-    dist = g.distances_from(ti)
-    ecc = max(dist)
-    if (t << ecc) >= g.n:
-        far = dist.index(ecc)
-        return Distribution({g.vertices[far]: (t << ecc) - 1})
-    return Distribution({g.vertices[v]: 1 for v in range(g.n) if v != ti})
 
 
 def pebbling_number_vertex(g: Graph, v: VertexLabel, t: int = 1,
@@ -570,10 +595,74 @@ def t_pebbling_number(g: Graph, t: int,
     return compute_pebbling(g, targets=targets, t=t, budget=budget).value
 
 
+def _field_bits(g: Graph, ti: int, t: int) -> int:
+    """Bits per vertex in a packed distribution, enough for every count the
+    DP meets. With fewer than t pebbles on the target, a vertex holding
+    t*2^ecc pebbles solves alone, so by pigeonhole every distribution of
+    (n-1)(t*2^ecc - 1) + t pebbles is t-solvable and no level gets larger."""
+    dist = g.distances_from(ti)
+    if min(dist) < 0:
+        raise DisconnectedGraph("a target out of reach has no pebbling number")
+    return ((g.n - 1) * ((t << max(dist)) - 1) + t).bit_length()
+
+
+def _downset_dp(g: Graph, ti: int, t: int, budget: Optional[Budget],
+                checkpoint: Optional[SweepCheckpoint]) -> tuple[int, list[int], int]:
+    """f_t(g, target) by the down-set DP over unsolvable distributions.
+
+    Returns the value, the colex-first unsolvable distribution of size
+    value-1 as a count vector, and the number of candidates checked.
+    Distributions are packed into ints, vertex v in bits [v*b, (v+1)*b), so
+    the last vertex is the most significant and integer order is colex
+    order.
+    """
+    bits = _field_bits(g, ti, t)
+    mask = (1 << bits) - 1
+    shifts = [bits * v for v in range(g.n)]
+    units = [1 << s for s in shifts]
+    # per source vertex: its shift and the packed effect of each move out
+    moves = [(s, [2 * units[a] - units[b] for b in g.neighbors[a]])
+             for a, s in enumerate(shifts)]
+    tshift = shifts[ti]
+    key = f"{graph_hash(g)}:{ti}:{t}"
+    k, prev, checked = 0, {0}, 0  # U_0: the empty distribution
+    if checkpoint is not None:
+        k, prev, checked = checkpoint.load_level(key, bits) or (k, prev, checked)
+
+    def stuck(c: int) -> bool:
+        for s, deltas in moves:
+            if (c >> s) & mask >= 2:
+                for d in deltas:
+                    if c - d not in prev:
+                        return False
+        return True
+
+    while True:
+        cand = {u + e for u in prev for e in units}
+        checked += len(cand)
+        cur = set()
+        for c in cand:
+            if budget is not None:
+                budget.charge()
+            if (c >> tshift) & mask < t and stuck(c):
+                cur.add(c)
+        if not cur:
+            break
+        k, prev = k + 1, cur
+        if checkpoint is not None:
+            checkpoint.save_level(key, bits, k, prev, checked)
+    first = min(prev)
+    return k + 1, [(first >> s) & mask for s in shifts], checked
+
+
 def compute_pebbling(g: Graph, targets: Optional[Sequence[VertexLabel]] = None,
                      t: int = 1, budget: Optional[Budget] = None,
                      checkpoint: Optional[SweepCheckpoint] = None) -> PebblingReport:
-    """Exact (t-)pebbling number by upward level sweeps per target."""
+    """Exact (t-)pebbling number by the down-set DP per target.
+
+    ``distributions_checked`` counts the DP's candidates; the budget is
+    charged one node per candidate.
+    """
     if t < 1:
         raise InvalidParameter(f"t must be >= 1, got {t}")
     restricted = targets is not None
@@ -583,20 +672,12 @@ def compute_pebbling(g: Graph, targets: Optional[Sequence[VertexLabel]] = None,
     best_value = 0
     checked = 0
     for lab in target_list:
-        ti = g.index_of(lab)
-        k = _certified_floor(g, ti, t)
-        last_cx: Optional[Distribution] = None
-        while True:
-            res = sweep_level(g, k, lab, t, budget=budget, checkpoint=checkpoint)
-            checked += res.checked
-            if res.all_solvable:
-                break
-            last_cx = res.counterexample
-            k += 1
-        per_target[lab] = k
-        if k > best_value:
-            best_value = k
-            best_witness = ((last_cx if last_cx is not None else _floor_witness(g, ti, t)), lab)
+        value, vec, cands = _downset_dp(g, g.index_of(lab), t, budget, checkpoint)
+        checked += cands
+        per_target[lab] = value
+        if value > best_value:
+            best_value = value
+            best_witness = (Distribution.from_vector(g, vec), lab)
     return PebblingReport(best_value, t, per_target, best_witness, checked, restricted)
 
 

@@ -12,17 +12,20 @@ from pebblekit.engine import (Budget, Distribution, Move, MoveSequence,
                               pebbling_number_vertex, potential, replay,
                               sweep_level, t_pebbling_number,
                               weak_compositions)
-from pebblekit.errors import (BudgetExceeded, InsufficientPebbles,
-                              InvalidParameter, NotAdjacent, UnknownVertex)
-from pebblekit.graphs import (Original, complete, cycle, cycle_u,
-                              middle_cycle, path, path_u, trimmed_middle_path)
+from pebblekit.errors import (BudgetExceeded, DisconnectedGraph,
+                              InsufficientPebbles, InvalidParameter,
+                              NotAdjacent, UnknownVertex)
+from pebblekit.graphs import (Graph, Original, cartesian_product, complete,
+                              cycle, cycle_u, middle_cycle, path, path_u,
+                              trimmed_middle_path)
 
 
 # -- independent reference solver (no pruning, pure state-space search) ------
 
-def brute_solvable(g, counts, target, t=1):
-    """Plain recursive search over all move sequences; exponential, for
-    cross-validating the production solver on small instances only."""
+def brute_solver(g, target, t=1):
+    """Plain recursive search over all move sequences, memoized per
+    (graph, target, t); exponential, for cross-validating the production
+    code on small instances only. Takes count tuples."""
     @lru_cache(maxsize=None)
     def rec(state):
         if state[target] >= t:
@@ -36,7 +39,11 @@ def brute_solvable(g, counts, target, t=1):
                     if rec(tuple(nxt)):
                         return True
         return False
-    return rec(tuple(counts))
+    return rec
+
+
+def brute_solvable(g, counts, target, t=1):
+    return brute_solver(g, target, t)(tuple(counts))
 
 
 # -- distributions and moves -------------------------------------------------
@@ -180,6 +187,27 @@ def test_sweep_level_all_solvable():
     assert sweep_level(g, 4, Original(3)).all_solvable
 
 
+def test_sweep_level_paths_return_the_same_counterexample(tmp_path):
+    # the vectorized path used to return the first potential-certified row;
+    # on C6 that is {v5:7}, while the first unsolvable row is earlier
+    cp = SweepCheckpoint(str(tmp_path / "cp.json"))
+    g = cycle(6)
+    res = sweep_level(g, 7, Original(2))
+    assert res.counterexample == Distribution(
+        {Original(0): 1, Original(4): 1, Original(5): 5})
+    assert sweep_level(g, 7, Original(2), checkpoint=cp).counterexample == \
+        res.counterexample
+    for g in (path(4), cycle(5), complete(4), trimmed_middle_path(4)):
+        for t in (1, 2, 3):
+            for lab in g.vertices:
+                f = pebbling_number_vertex(g, lab, t)
+                for k in range(1, f):
+                    fast = sweep_level(g, k, lab, t)
+                    slow = sweep_level(g, k, lab, t, checkpoint=cp)
+                    assert (fast.counterexample, fast.checked) == \
+                        (slow.counterexample, slow.checked), (g, lab, t, k)
+
+
 def test_path_pebbling_numbers():
     # 2^(n-1), not the off-by-one 2^n - 1
     for n in range(2, 6):
@@ -219,6 +247,98 @@ def test_pebbling_number_vertex():
     assert pebbling_number_vertex(g, Original(4)) == 8
     # {v1:1, v4:3} is stuck for v2, so 4 pebbles are not enough
     assert pebbling_number_vertex(g, Original(2)) == 5
+
+
+def test_pebbling_number_of_disconnected_graph_raises():
+    g = Graph([Original(1), Original(2)], [], require_connected=False)
+    with pytest.raises(DisconnectedGraph):
+        compute_pebbling(g)
+
+
+def test_t_pebbling_counts_beyond_a_byte():
+    # f_t(P2) = 2t; the DP's packed counts must not wrap above 255
+    assert t_pebbling_number(path(2), 130) == 260
+
+
+# -- the down-set DP against the level sweep and the unpruned search ---------
+
+# (graph, t values, targets to check against the sweep; None means all).
+# The sweep of the all-solvable level dominates the cost, so the larger
+# graphs are checked at fewer t or at one target of each orbit under
+# their automorphisms.
+DP_DIFFERENTIAL = [
+    pytest.param(path(2), (1, 2, 3), None, id="P2"),
+    pytest.param(path(3), (1, 2, 3), None, id="P3"),
+    pytest.param(path(4), (1, 2, 3), None, id="P4"),
+    pytest.param(cycle(4), (1, 2, 3), [Original(0)], id="C4"),
+    pytest.param(cycle(5), (1, 2, 3), [Original(0)], id="C5"),
+    pytest.param(cycle(6), (1, 2, 3), [Original(0)], id="C6"),
+    pytest.param(cycle(7), (1, 2), [Original(0)], id="C7"),
+    pytest.param(complete(4), (1, 2, 3), [Original(1)], id="K4"),
+    pytest.param(trimmed_middle_path(4), (1, 2, 3), None, id="TMP4"),
+    pytest.param(trimmed_middle_path(5), (1,), None, id="TMP5"),
+    pytest.param(middle_cycle(2), (1,), [Original(0), cycle_u(4, 0)], id="MC4"),
+    pytest.param(cartesian_product(path(2), path(3)), (1, 2), None, id="P2xP3"),
+]
+
+
+@pytest.mark.parametrize("g,ts,targets", DP_DIFFERENTIAL)
+def test_dp_matches_level_sweep(g, ts, targets, tmp_path):
+    cp = SweepCheckpoint(str(tmp_path / "cp.json"))
+    for t in ts:
+        rep = compute_pebbling(g, t=t)
+        best = None
+        for lab in targets or g.vertices:
+            f = rep.per_target[lab]
+            one = compute_pebbling(g, targets=[lab], t=t)
+            below = sweep_level(g, f - 1, lab, t, checkpoint=cp)
+            assert not below.all_solvable
+            assert sweep_level(g, f, lab, t).all_solvable
+            assert one.per_target == {lab: f}
+            assert one.witness == (below.counterexample, lab)
+            if f == rep.value and best is None:
+                best = one.witness
+        if targets is None:
+            assert rep.witness == best
+
+
+def test_dp_matches_unpruned_search():
+    for g in (path(2), path(3), path(4), cycle(4), cycle(5), complete(4),
+              trimmed_middle_path(4)):
+        assert g.n <= 5
+        for t in (1, 2, 3):
+            for ti, lab in enumerate(g.vertices):
+                rep = compute_pebbling(g, targets=[lab], t=t)
+                f = rep.value
+                solvable = brute_solver(g, ti, t)
+                first = next(vec for vec in weak_compositions(f - 1, g.n)
+                             if not solvable(vec))
+                assert rep.witness == (Distribution.from_vector(g, first), lab)
+                assert all(map(solvable, weak_compositions(f, g.n)))
+
+
+def test_lemma_26_at_n3():
+    # rotations of C6 act transitively on the originals and on the edge
+    # vertices, so these two targets give f(M(C6)) = 20
+    g = middle_cycle(3)
+    rep = compute_pebbling(g, targets=[Original(0)])
+    assert rep.value == 20
+    d, tgt = rep.witness
+    assert d.total == 19 and not is_solvable(g, d, tgt).solvable
+    assert pebbling_number_vertex(g, cycle_u(6, 0)) == 16
+
+
+def test_compute_pebbling_resumes_from_checkpoint(tmp_path):
+    g = middle_cycle(2)
+    whole = compute_pebbling(g, t=2)
+    cp_file = str(tmp_path / "cp.json")
+    with pytest.raises(BudgetExceeded):
+        compute_pebbling(g, t=2, budget=Budget(node_cap=whole.distributions_checked // 2),
+                         checkpoint=SweepCheckpoint(cp_file))
+    budget = Budget()
+    resumed = compute_pebbling(g, t=2, budget=budget, checkpoint=SweepCheckpoint(cp_file))
+    assert resumed == whole
+    assert budget.nodes < whole.distributions_checked  # it did not start over
 
 
 def test_budget_exhaustion_raises():
