@@ -29,7 +29,6 @@ EXIT_USAGE = 3
 class RunConfig:
     node_budget: Optional[int]
     time_budget: Optional[float]
-    checkpoint: Optional[str] = None
 
     def budget(self) -> Budget:
         if self.node_budget is None and self.time_budget is None:
@@ -43,15 +42,10 @@ def _add_budget_flags(p: argparse.ArgumentParser) -> None:
                         "per DP candidate (default: env or 5e6)")
     p.add_argument("--budget-seconds", type=float, default=None,
                    help="wall-time cap in seconds")
-    p.add_argument("--checkpoint", default=None,
-                   help="resume file for pebbling-number: keeps the last "
-                        "completed level of unsolvable distributions per "
-                        "target, and a rerun continues from it")
 
 
 def _config(args) -> RunConfig:
-    return RunConfig(args.budget_nodes, args.budget_seconds,
-                     getattr(args, "checkpoint", None))
+    return RunConfig(args.budget_nodes, args.budget_seconds)
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +155,10 @@ def cmd_pebbling_number(args) -> int:
     targets = None
     if args.targets:
         targets = [parse_label(s) for s in args.targets.split(",")]
-    cfg = _config(args)
-    checkpoint = SweepCheckpoint(cfg.checkpoint) if cfg.checkpoint else None
+    checkpoint = SweepCheckpoint(args.checkpoint) if args.checkpoint else None
     try:
         report = compute_pebbling(g, targets=targets, t=args.t,
-                                  budget=cfg.budget(), checkpoint=checkpoint)
+                                  budget=_config(args).budget(), checkpoint=checkpoint)
     except BudgetExceeded as exc:
         print(f"inconclusive: {exc}")
         return EXIT_INCONCLUSIVE
@@ -346,6 +339,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated labels (default: all vertices)")
     p.add_argument("--t", type=int, default=1)
     p.add_argument("--witness-out", default=None)
+    p.add_argument("--checkpoint", default=None,
+                   help="resume file: keeps the last completed level of "
+                        "unsolvable distributions per target, and a rerun "
+                        "continues from it")
     _add_budget_flags(p)
     p.set_defaults(func=cmd_pebbling_number)
 

@@ -3,7 +3,11 @@
 The solver decides t-solvability by depth-first search over distributions
 with a transposition table, after a stack of cheap checks: target already
 covered, a single vertex rich enough to pay the full 2^d toll, a greedy
-run, and the exact-rational potential cutoff.
+run, and the exact-rational potential cutoff. The search runs on an
+explicit stack, so no input can exhaust Python's recursion limit. States
+are count vectors packed into ints, and every move carries precomputed
+changes to the packed key and to the potential, so a search node costs a
+few integer operations instead of rebuilding either from the vector.
 
 Pebbling and t-pebbling numbers come from a dynamic program over the
 unsolvable distributions, not from the solver. They form a down-set
@@ -30,7 +34,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from itertools import groupby, islice
 from math import comb
 from typing import Iterator, Optional, Sequence
 
@@ -302,50 +306,80 @@ def _solve_counts(g: Graph, counts: list[int], target: int, t: int,
     if pot < goal:
         return False, None, 0
 
-    # memoized depth-first search; transposition table keys are the raw
-    # count vectors (totals in a sweep are < 256, so bytes packing applies)
-    failed: set = set()
-    nodes = 0
-    small = sum(counts) < 256
-    nbrs = g.neighbors
+    # memoized depth-first search with an explicit stack, so its depth (the
+    # length of a witness) is not bounded by Python's recursion limit. A
+    # state is its count vector packed into an int, with bits per vertex
+    # enough for the total, which no move increases. Each move a -> b
+    # carries its change to the key and to the potential, so a child costs
+    # one subtraction each. A child that covers the target ends the search,
+    # a child known to fail is skipped, and every other child is one node,
+    # charged to the budget before its potential is checked.
+    n = len(counts)
+    bits = sum(counts).bit_length()
+    out: list[Optional[list[tuple]]] = [None] * n  # moves from each vertex
 
-    def dfs(cnt: list[int]) -> Optional[list[tuple[int, int]]]:
-        nonlocal nodes
-        if cnt[target] >= t:
-            return []
-        key = bytes(cnt) if small else tuple(cnt)
-        if key in failed:
-            return None
-        nodes += 1
-        if budget is not None:
-            budget.charge()
-        pot = sum(c * w for c, w in zip(cnt, weights))
-        if pot < goal:
-            failed.add(key)
-            return None
-        cand = []
-        for a in range(len(cnt)):
-            if a != target and cnt[a] >= 2:
-                da = dist[a]
-                ca = cnt[a]
-                for b in nbrs[a]:
-                    cand.append((-ca, -(da - dist[b]), a, b))
-        cand.sort()
-        for _, _, a, b in cand:
+    def moves_from(a: int) -> list[tuple]:
+        """Moves a -> b in the order (dist[b]-dist[a], b), built on first use.
+        Each starts with its rank, which orders the moves of all sources by
+        (dist[b]-dist[a], a, b)."""
+        da, ka, pa = dist[a] - 1, 2 << bits * a, 2 * weights[a]
+        out[a] = [(((dist[b] - da) * n + a) * n + b, a, b, b == target,
+                   ka - (1 << bits * b), pa - weights[b])
+                  for b in sorted(g.neighbors[a], key=dist.__getitem__)]
+        return out[a]
+
+    sources = [a for a in range(n) if a != target]
+    cnt = list(counts)
+    count_of = cnt.__getitem__
+
+    def children() -> Iterator[tuple]:
+        """Legal moves in the order (-cnt[a], dist[b]-dist[a], a, b): richer
+        sources first, and moves from equally rich sources by rank."""
+        srcs = [a for a in sources if cnt[a] >= 2]
+        if len(srcs) == 1:
+            return iter(out[srcs[0]] or moves_from(srcs[0]))
+        srcs.sort(key=count_of, reverse=True)
+        cand: list[tuple] = []
+        for _, tied in groupby(srcs, count_of):
+            tied = [out[a] or moves_from(a) for a in tied]
+            cand += tied[0] if len(tied) == 1 else sorted([m for ms in tied for m in ms])
+        return iter(cand)
+
+    key = sum(c << bits * v for v, c in enumerate(counts))  # the root: node 1
+    failed: set[int] = set()
+    nodes = 1
+    if budget is not None:
+        budget.charge()
+    path: list[tuple[int, int]] = []
+    stack = [(key, pot, children())]
+    while stack:
+        key, pot, todo = stack[-1]
+        for _, a, b, hit, dkey, dpot in todo:
+            if hit and cnt[target] + 1 >= t:
+                path.append((a, b))
+                return True, path, nodes
+            child = key - dkey
+            if child in failed:
+                continue
+            nodes += 1
+            if budget is not None:
+                budget.charge()
+            if pot - dpot < goal:
+                failed.add(child)
+                continue
             cnt[a] -= 2
             cnt[b] += 1
-            sub = dfs(cnt)
-            cnt[a] += 2
-            cnt[b] -= 1
-            if sub is not None:
-                return [(a, b)] + sub
-        failed.add(key)
-        return None
-
-    result = dfs(list(counts))
-    if result is None:
-        return False, None, nodes
-    return True, result, nodes
+            path.append((a, b))
+            stack.append((child, pot - dpot, children()))
+            break
+        else:
+            failed.add(key)
+            stack.pop()
+            if path:
+                a, b = path.pop()
+                cnt[a] += 2
+                cnt[b] -= 1
+    return False, None, nodes
 
 
 def _moves_to_sequence(g: Graph, moves: list[tuple[int, int]]) -> MoveSequence:

@@ -17,7 +17,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .errors import DisconnectedGraph, InvalidParameter, UnknownVertex
 
@@ -65,7 +65,7 @@ class Pair:
         return f"({self.left}|{self.right})"
 
 
-VertexLabel = Union[Original, EdgeVertex, Pair]
+VertexLabel = Original | EdgeVertex | Pair
 
 
 def parse_label(s: str) -> VertexLabel:

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .engine import Distribution, Move, MoveSequence, _greedy_counts
+from .engine import (Distribution, Move, MoveSequence, _greedy_counts,
+                     _moves_to_sequence)
 from .errors import InvalidParameter, PreconditionNotMet, UnknownVertex
 from .graphs import (EdgeVertex, Graph, Original, Pair, VertexLabel, cycle_u,
                      middle_cycle, path_u, trimmed_middle_path)
@@ -152,12 +153,7 @@ def collect_on_path(ctx: PathContext, t: int) -> StrategyReport:
     tag = _collect_indices(g, counts, path_idx, ctx.target_index, t, moves)
     tk = path_idx[ctx.target_index - 1]
     return StrategyReport(counts[tk] >= t, counts[tk],
-                          _moves_seq(g, moves), tag)
-
-
-def _moves_seq(g: Graph, moves: list[tuple[int, int]]) -> MoveSequence:
-    verts = g.vertices
-    return MoveSequence([Move(verts[a], verts[b]) for a, b in moves])
+                          _moves_to_sequence(g, moves), tag)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +278,7 @@ def middle_path_strategy(n: int, d: Distribution, target: VertexLabel) -> Strate
     moves: list[tuple[int, int]] = []
     tag = _tmp_solve(n, counts, target, moves)
     final = counts[g.index_of(target)]
-    return StrategyReport(final >= 1, final, _moves_seq(g, moves), tag)
+    return StrategyReport(final >= 1, final, _moves_to_sequence(g, moves), tag)
 
 
 def cor24_witness(n: int) -> tuple[Distribution, VertexLabel]:
@@ -667,4 +663,4 @@ def greedy_solver(g: Graph, d: Distribution, target: VertexLabel,
     moves = _greedy_counts(g, counts, ti, t, dist)
     if moves is None:
         return StrategyReport(False, counts[ti], MoveSequence(), "greedy:stuck")
-    return StrategyReport(True, counts[ti], _moves_seq(g, moves), "greedy")
+    return StrategyReport(True, counts[ti], _moves_to_sequence(g, moves), "greedy")

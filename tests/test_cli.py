@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from pebblekit.cli import main
+from pebblekit.cli import EXIT_USAGE, main
 from pebblekit.graphs import Graph
 
 
@@ -190,6 +190,15 @@ def test_verify_unknown_claim():
 
 def test_verify_missing_range():
     assert run(["verify", "cor24"]) == 3
+
+
+def test_checkpoint_only_on_pebbling_number(tmp_path, mc4):
+    # solve and verify have nothing to resume, so they reject the flag
+    cp = str(tmp_path / "cp.json")
+    assert run(["verify", "cor24", "--n", "3", "--checkpoint", cp]) == EXIT_USAGE
+    d = dist_file(tmp_path, {"v2": 10})
+    assert run(["solve", "--graph", str(mc4), "--dist", str(d),
+                "--target", "v0", "--checkpoint", cp]) == EXIT_USAGE
 
 
 def test_verify_writes_ledger(tmp_path):

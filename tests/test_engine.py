@@ -1,11 +1,14 @@
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from typing import Optional
 
 import pytest
 
 from pebblekit.engine import (Budget, Distribution, Move, MoveSequence,
                               SweepCheckpoint, _compositions_array,
+                              _drain_route, _greedy_counts, _solve_counts,
                               apply_move, compute_pebbling,
                               enumerate_distributions, is_solvable,
                               lower_bound, pebbling_number,
@@ -15,9 +18,10 @@ from pebblekit.engine import (Budget, Distribution, Move, MoveSequence,
 from pebblekit.errors import (BudgetExceeded, DisconnectedGraph,
                               InsufficientPebbles, InvalidParameter,
                               NotAdjacent, UnknownVertex)
-from pebblekit.graphs import (Graph, Original, cartesian_product, complete,
-                              cycle, cycle_u, middle_cycle, path, path_u,
-                              trimmed_middle_path)
+from pebblekit.graphs import (Graph, Original, Pair, cartesian_product,
+                              complete, cycle, cycle_u, middle_cycle, path,
+                              path_u, trimmed_middle_path)
+from pebblekit.strategies import cor24_witness
 
 
 # -- independent reference solver (no pruning, pure state-space search) ------
@@ -44,6 +48,83 @@ def brute_solver(g, target, t=1):
 
 def brute_solvable(g, counts, target, t=1):
     return brute_solver(g, target, t)(tuple(counts))
+
+
+def recursive_solve_counts(g, counts, target, t, budget=None):
+    """The solver as it was before its search became iterative: the same
+    shortcuts, then a recursive memoized DFS. Returns (solvable, moves,
+    nodes); the production search must return the same triple."""
+    if counts[target] >= t:
+        return True, [], 0
+    dist = g.distances_from(target)
+    ecc = max(dist)
+    goal = t << ecc
+    weights = [1 << (ecc - d) for d in dist]
+
+    # single rich vertex
+    for v, c in enumerate(counts):
+        if v != target and c >> dist[v] >= t - counts[target]:
+            work = list(counts)
+            moves: list[tuple[int, int]] = []
+            _drain_route(g, work, dist, v, moves)
+            if work[target] >= t:
+                return True, moves, 0
+
+    # greedy
+    work = list(counts)
+    greedy = _greedy_counts(g, work, target, t, dist)
+    if greedy is not None:
+        return True, greedy, 0
+
+    # potential cutoff: below t means provably unsolvable
+    pot = sum(c * w for c, w in zip(counts, weights))
+    if pot < goal:
+        return False, None, 0
+
+    # memoized depth-first search; transposition table keys are the raw
+    # count vectors (totals in a sweep are < 256, so bytes packing applies)
+    failed: set = set()
+    nodes = 0
+    small = sum(counts) < 256
+    nbrs = g.neighbors
+
+    def dfs(cnt: list[int]) -> Optional[list[tuple[int, int]]]:
+        nonlocal nodes
+        if cnt[target] >= t:
+            return []
+        key = bytes(cnt) if small else tuple(cnt)
+        if key in failed:
+            return None
+        nodes += 1
+        if budget is not None:
+            budget.charge()
+        pot = sum(c * w for c, w in zip(cnt, weights))
+        if pot < goal:
+            failed.add(key)
+            return None
+        cand = []
+        for a in range(len(cnt)):
+            if a != target and cnt[a] >= 2:
+                da = dist[a]
+                ca = cnt[a]
+                for b in nbrs[a]:
+                    cand.append((-ca, -(da - dist[b]), a, b))
+        cand.sort()
+        for _, _, a, b in cand:
+            cnt[a] -= 2
+            cnt[b] += 1
+            sub = dfs(cnt)
+            cnt[a] += 2
+            cnt[b] -= 1
+            if sub is not None:
+                return [(a, b)] + sub
+        failed.add(key)
+        return None
+
+    result = dfs(list(counts))
+    if result is None:
+        return False, None, nodes
+    return True, result, nodes
 
 
 # -- distributions and moves -------------------------------------------------
@@ -146,6 +227,91 @@ def test_solvable_unknown_vertex():
 def test_t_must_be_positive():
     with pytest.raises(InvalidParameter):
         is_solvable(path(2), Distribution(), Original(1), t=0)
+
+
+# -- the iterative search against the recursive one ---------------------------
+
+def assert_same_search(g, vec, ti, t):
+    """The iterative search's (solvable, moves, nodes), checked against the
+    recursive reference."""
+    got = _solve_counts(g, list(vec), ti, t, None)
+    assert got == recursive_solve_counts(g, list(vec), ti, t), (g, vec, ti, t)
+    return got
+
+
+def test_search_matches_recursive_reference_on_small_distributions():
+    for g in (path(4), cycle(5), complete(4), trimmed_middle_path(4),
+              middle_cycle(2)):
+        for k in range(7):
+            for vec in weak_compositions(k, g.n):
+                for ti in range(g.n):
+                    for t in (1, 2, 3):
+                        assert_same_search(g, vec, ti, t)
+
+
+def test_search_matches_recursive_reference_on_tight_witnesses():
+    witnesses = [(trimmed_middle_path(5), *cor24_witness(5), 1)]
+    for g in (trimmed_middle_path(5), cycle(7), middle_cycle(2)):
+        witnesses += [(g, d, tgt, 1) for d, tgt in lower_bound(g)[1]]
+        for t in (1, 2):
+            witnesses.append((g, *compute_pebbling(g, t=t).witness, t))
+    dfs_nodes = 0
+    for g, d, tgt, t in witnesses:
+        ti = g.index_of(tgt)
+        base = d.vector(g)
+        for v in [None, *range(g.n)]:
+            vec = list(base)
+            if v is not None:
+                vec[v] += 1
+            dfs_nodes += assert_same_search(g, vec, ti, t)[2]
+    assert dfs_nodes > 0  # some of these reach the search
+
+
+def frames_left() -> int:
+    """How many more nested calls the recursion limit allows from here."""
+    depth = 0
+
+    def down():
+        nonlocal depth
+        depth += 1
+        down()
+    try:
+        down()
+    except RecursionError:
+        return depth
+
+
+def deep_query():
+    """A P3xP3 query that reaches the search (170 nodes) and whose witness
+    is 15 moves long."""
+    g = cartesian_product(path(3), path(3))
+    d = Distribution({Pair(Original(3), Original(1)): 1,
+                      Pair(Original(3), Original(3)): 15})
+    return g, d, Pair(Original(1), Original(1))
+
+
+def test_search_does_not_recurse():
+    # 12 frames above this one are enough for is_solvable and its helpers
+    # (about 8), too few for a search that takes a frame per move (the
+    # recursive one needs about 17 here)
+    g, d, tgt = deep_query()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit - frames_left() + 12)
+    try:
+        out = is_solvable(g, d, tgt)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert out.solvable and out.nodes_explored == 170
+    assert len(out.witness) == 15
+    assert replay(g, d, out.witness).get(tgt) >= 1
+
+
+def test_search_budget_stops_at_the_same_node():
+    g, d, tgt = deep_query()
+    for solve in (_solve_counts, recursive_solve_counts):
+        with pytest.raises(BudgetExceeded) as exc:
+            solve(g, d.vector(g), g.index_of(tgt), 1, Budget(node_cap=100))
+        assert exc.value.nodes_explored == 101
 
 
 # -- enumeration -------------------------------------------------------------

@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import pebblekit
 
 from pebblekit.errors import (DisconnectedGraph, InvalidParameter,
                               UnknownVertex)
@@ -174,3 +179,27 @@ def test_json_shape():
 def test_dot_output():
     dot = path(2).to_dot()
     assert '"v1" -- "v2"' in dot and dot.startswith("graph")
+
+
+# -- module lifetime ---------------------------------------------------------
+
+REIMPORT = """
+import gc, importlib, sys
+for _ in range(5):
+    for name in [m for m in sys.modules if m.split(".")[0] == "pebblekit"]:
+        del sys.modules[name]
+    importlib.import_module("pebblekit")
+gc.collect()
+print(sum(isinstance(o, dict) and o.get("__name__") == "pebblekit.graphs"
+          and "__spec__" in o for o in gc.get_objects()))
+"""
+
+
+def test_reimport_frees_the_old_graphs_module():
+    # a typing.Union alias over the label classes was cached by typing and
+    # kept every earlier copy of the module alive
+    src = os.path.dirname(os.path.dirname(pebblekit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", REIMPORT], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert int(out) <= 1
