@@ -238,6 +238,18 @@ def _next_hop(g: Graph, dist: Sequence[int], v: int) -> int:
     raise AssertionError("BFS distances inconsistent")
 
 
+def _push_half(counts: list[int], a: int, b: int,
+               moves: list[tuple[int, int]]) -> int:
+    """Move the floor-half of a's pile one step to b: floor(p/2) moves a -> b.
+    Mutates counts and moves; returns the number of pebbles that arrive."""
+    k = counts[a] // 2
+    if k:
+        counts[a] -= 2 * k
+        counts[b] += k
+        moves.extend([(a, b)] * k)
+    return k
+
+
 def _drain_route(g: Graph, counts: list[int], dist: Sequence[int],
                  v: int, moves: list[tuple[int, int]]) -> None:
     """Push floor-halves of v's pile step by step toward the target,
@@ -245,12 +257,8 @@ def _drain_route(g: Graph, counts: list[int], dist: Sequence[int],
     cur = v
     while dist[cur] > 0:
         nxt = _next_hop(g, dist, cur)
-        k = counts[cur] // 2
-        if k == 0:
+        if not _push_half(counts, cur, nxt, moves):
             return
-        counts[cur] -= 2 * k
-        counts[nxt] += k
-        moves.extend([(cur, nxt)] * k)
         cur = nxt
 
 
@@ -382,6 +390,16 @@ def _solve_counts(g: Graph, counts: list[int], target: int, t: int,
     return False, None, nodes
 
 
+def _reach(g: Graph, ti: int) -> tuple[int, ...]:
+    """Distances from the target. Raises DisconnectedGraph when some vertex
+    is out of its reach: the search's shortcuts and the pebbling-number
+    bound both read a distance for every vertex."""
+    dist = g.distances_from(ti)
+    if min(dist) < 0:
+        raise DisconnectedGraph(f"target {g.vertices[ti]} does not reach every vertex")
+    return dist
+
+
 def _moves_to_sequence(g: Graph, moves: list[tuple[int, int]]) -> MoveSequence:
     verts = g.vertices
     return MoveSequence([Move(verts[a], verts[b]) for a, b in moves])
@@ -396,6 +414,7 @@ def is_solvable(g: Graph, d: Distribution, target: VertexLabel, t: int = 1,
     for lab in d.counts:
         if lab not in g:
             raise UnknownVertex(f"distribution mentions unknown vertex {lab}")
+    _reach(g, ti)
     ok, moves, nodes = _solve_counts(g, d.vector(g), ti, t, budget)
     witness = _moves_to_sequence(g, moves) if ok else None
     return SolveOutcome(ok, witness, nodes)
@@ -487,6 +506,7 @@ def sweep_level(g: Graph, k: int, target: VertexLabel, t: int = 1,
     Either path returns the first unsolvable row in colex order.
     """
     ti = g.index_of(target)
+    dist = _reach(g, ti)
     count = comb(k + g.n - 1, g.n - 1)
     if budget is not None:
         budget.charge(count)
@@ -494,7 +514,6 @@ def sweep_level(g: Graph, k: int, target: VertexLabel, t: int = 1,
         return _sweep_level_python(g, k, ti, t, budget, checkpoint)
 
     arr = _compositions_array(k, g.n)
-    dist = g.distances_from(ti)
     ecc = max(dist)
     goal = t << ecc
 
@@ -634,9 +653,7 @@ def _field_bits(g: Graph, ti: int, t: int) -> int:
     DP meets. With fewer than t pebbles on the target, a vertex holding
     t*2^ecc pebbles solves alone, so by pigeonhole every distribution of
     (n-1)(t*2^ecc - 1) + t pebbles is t-solvable and no level gets larger."""
-    dist = g.distances_from(ti)
-    if min(dist) < 0:
-        raise DisconnectedGraph("a target out of reach has no pebbling number")
+    dist = _reach(g, ti)
     return ((g.n - 1) * ((t << max(dist)) - 1) + t).bit_length()
 
 

@@ -6,6 +6,13 @@ argument routes pebbles, and its report records which case fired. The
 strategies are sound (a returned sequence always replays legally and
 delivers what it claims) but never claim unsolvability.
 
+Strategies compute on count vectors indexed like their graph's vertices.
+A sub-argument (the mirrored trimmed path, a rotated or reflected half of
+M(C_2n), a product fiber) runs on its own count vector in its own frame,
+and its moves come back to the caller through one index map, frame index
+to caller index (``_replay_frame``). Labels appear only where a public
+function reads its distribution and target and builds its report.
+
 Weight bookkeeping convention for a path v_1..v_n with target v_k: a
 pebble on v_i weighs 2^(i-1) on the left side and 2^(n-j) on v_j on the
 right side; moving a pebble one step toward the target preserves at least
@@ -16,13 +23,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .engine import (Distribution, Move, MoveSequence, _greedy_counts,
-                     _moves_to_sequence)
+from .engine import (Distribution, MoveSequence, _greedy_counts,
+                     _moves_to_sequence, _push_half)
 from .errors import InvalidParameter, PreconditionNotMet, UnknownVertex
-from .graphs import (EdgeVertex, Graph, Original, Pair, VertexLabel, cycle_u,
-                     middle_cycle, path_u, trimmed_middle_path)
+from .graphs import (EdgeVertex, Graph, Original, Pair, VertexLabel,
+                     cartesian_product, cycle_u, middle_cycle, path_u,
+                     trimmed_middle_path)
 
 # ---------------------------------------------------------------------------
 # Report and context types
@@ -77,45 +85,61 @@ class PathContext:
 
 
 # ---------------------------------------------------------------------------
+# Frames: a sub-argument runs on its own count vector, and its moves come
+# back to the caller through an index map (frame index -> caller index)
+
+
+def _index_map(src: Graph, dst: Graph,
+               image: Callable[[VertexLabel], VertexLabel]) -> tuple[int, ...]:
+    """Entry i is the index in ``dst`` of the image of ``src``'s vertex i."""
+    return tuple(dst.index_of(image(lab)) for lab in src.vertices)
+
+
+def _replay_frame(counts: list[int], frame: Sequence[int],
+                  sub: list[tuple[int, int]], moves: list[tuple[int, int]]) -> None:
+    """Replay moves computed in a frame onto the caller's counts and moves;
+    frame[i] is the caller's index of frame index i."""
+    for a, b in sub:
+        a, b = frame[a], frame[b]
+        counts[a] -= 2
+        counts[b] += 1
+        moves.append((a, b))
+
+
+# ---------------------------------------------------------------------------
 # Path weight and collection
+
+
+def _side_weights(p: Sequence[int], k: int) -> tuple[int, int]:
+    """(left, right) weights toward v_k of the piles p, p[i-1] on v_i."""
+    n = len(p)
+    left = sum(p[i - 1] << (i - 1) for i in range(1, k))
+    right = sum(p[j - 1] << (n - j) for j in range(k + 1, n + 1))
+    return left, right
 
 
 def path_weight(ctx: PathContext) -> int:
     """Two-sided distance-discounted pebble weight toward v_k; the one-sided
     k=n form is the special case with an empty right sum."""
-    n = len(ctx.path)
-    k = ctx.target_index
-    p = [ctx.distribution.get(lab) for lab in ctx.path]
-    left = sum(p[i - 1] << (i - 1) for i in range(1, k))
-    right = sum(p[j - 1] << (n - j) for j in range(k + 1, n + 1))
-    return left + right
+    return sum(_side_weights([ctx.distribution.get(lab) for lab in ctx.path],
+                             ctx.target_index))
 
 
-def _cascade(g: Graph, counts: list[int], chain: Sequence[int],
-             moves: list[tuple[int, int]]) -> int:
+def _cascade(counts: list[int], chain: Sequence[int],
+             moves: list[tuple[int, int]]) -> None:
     """Push floor-halves down the chain (far end first), absorbing piles on
-    the way. Returns the number of pebbles that arrive at the last vertex."""
-    arrived = 0
+    the way."""
     for a, b in zip(chain, chain[1:]):
-        k = counts[a] // 2
-        if k:
-            counts[a] -= 2 * k
-            counts[b] += k
-            moves.extend([(a, b)] * k)
-            if b == chain[-1]:
-                arrived = k
-    return arrived
+        _push_half(counts, a, b, moves)
 
 
-def _collect_indices(g: Graph, counts: list[int], path_idx: Sequence[int],
+def _collect_indices(counts: list[int], path_idx: Sequence[int],
                      k: int, t: int, moves: list[tuple[int, int]]) -> str:
     """Collection core on ambient-index arrays; mutates counts, appends
     moves, returns the case tag. Raises PreconditionNotMet (before touching
     counts) when the weight threshold fails."""
     n = len(path_idx)
-    p = [counts[i] for i in path_idx]
-    left_w = sum(p[i - 1] << (i - 1) for i in range(1, k))
-    right_w = sum(p[j - 1] << (n - j) for j in range(k + 1, n + 1))
+    left_w, right_w = _side_weights([counts[i] for i in path_idx], k)
     left_long = 2 * k >= n + 1
     if left_long:
         long_w, long_exp = left_w, k - 1
@@ -133,11 +157,11 @@ def _collect_indices(g: Graph, counts: list[int], path_idx: Sequence[int],
     long_chain, short_chain = (left_chain, right_chain) if left_long \
         else (right_chain, left_chain)
     if long_w >= t << long_exp:
-        _cascade(g, counts, long_chain, moves)
+        _cascade(counts, long_chain, moves)
         return "case-1"
     # here short_w >= 2^short_exp is forced by the threshold
-    _cascade(g, counts, short_chain, moves)
-    _cascade(g, counts, long_chain, moves)
+    _cascade(counts, short_chain, moves)
+    _cascade(counts, long_chain, moves)
     return "case-2"
 
 
@@ -150,7 +174,7 @@ def collect_on_path(ctx: PathContext, t: int) -> StrategyReport:
     counts = ctx.distribution.vector(g)
     path_idx = [g.index_of(lab) for lab in ctx.path]
     moves: list[tuple[int, int]] = []
-    tag = _collect_indices(g, counts, path_idx, ctx.target_index, t, moves)
+    tag = _collect_indices(counts, path_idx, ctx.target_index, t, moves)
     tk = path_idx[ctx.target_index - 1]
     return StrategyReport(counts[tk] >= t, counts[tk],
                           _moves_to_sequence(g, moves), tag)
@@ -176,72 +200,50 @@ def _tmp_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 @lru_cache(maxsize=64)
 def _tmp_mirror(n: int) -> tuple[int, ...]:
-    """Index permutation for the end-swapping symmetry: v_m <-> v_{n+1-m},
+    """Index map of the end-swapping symmetry: v_m <-> v_{n+1-m},
     u_i <-> u_{n-i}."""
     g = _tmp_graph(n)
-    perm = [0] * g.n
-    for idx, lab in enumerate(g.vertices):
-        if isinstance(lab, Original):
-            image: VertexLabel = Original(n + 1 - lab.index)
-        else:
-            image = path_u(n - lab.i)
-        perm[idx] = g.index_of(image)
-    return tuple(perm)
+    return _index_map(g, g, lambda lab: Original(n + 1 - lab.index)
+                      if isinstance(lab, Original) else path_u(n - lab.i))
 
 
-def _tmp_solve(n: int, counts: list[int], target: VertexLabel,
+def _tmp_solve(n: int, counts: list[int], target: int,
                moves: list[tuple[int, int]]) -> str:
-    """Route one pebble to the target of M(P_n) - {v_1, v_n}; mutates
+    """Route one pebble to the target index of M(P_n) - {v_1, v_n}; mutates
     counts, appends moves, returns a case tag."""
-    g = _tmp_graph(n)
     u, v = _tmp_tables(n)
+    spine = u[1:]
+    lab = _tmp_graph(n).vertices[target]
 
-    if isinstance(target, EdgeVertex):
-        k = target.i
+    if isinstance(lab, EdgeVertex):
+        k = lab.i
         if counts[u[k]] >= 1:
             return "u-target:already"
         # every original donates its floor-half toward the target's side
         for m in range(2, n):
-            dest = u[m] if m <= k else u[m - 1]
-            d = counts[v[m]] // 2
-            if d:
-                counts[v[m]] -= 2 * d
-                counts[dest] += d
-                moves.extend([(v[m], dest)] * d)
+            _push_half(counts, v[m], u[m] if m <= k else u[m - 1], moves)
         if counts[u[k]] >= 1:
             return "u-target:donated"
-        spine = [u[i] for i in range(1, n)]
-        _collect_indices(g, counts, spine, k, 1, moves)
+        _collect_indices(counts, spine, k, 1, moves)
         return "u-target:spine"
 
-    k = target.index
+    k = lab.index
     if counts[v[k]] >= 1:
         return "v-target:already"
     if 2 * k < n + 1:
         # mirror so the left side is the long one
-        perm = _tmp_mirror(n)
-        mirrored = [counts[perm[i]] for i in range(g.n)]
+        frame = _tmp_mirror(n)
         sub: list[tuple[int, int]] = []
-        tag = _tmp_solve(n, mirrored, Original(n + 1 - k), sub)
-        for a, b in sub:
-            counts[perm[a]] -= 2
-            counts[perm[b]] += 1
-            moves.append((perm[a], perm[b]))
+        tag = _tmp_solve(n, [counts[i] for i in frame], v[n + 1 - k], sub)
+        _replay_frame(counts, frame, sub, moves)
         return tag
     for m in range(2, n):
-        if m == k:
-            continue
-        dest = u[m] if m < k else u[m - 1]
-        d = counts[v[m]] // 2
-        if d:
-            counts[v[m]] -= 2 * d
-            counts[dest] += d
-            moves.extend([(v[m], dest)] * d)
+        if m != k:
+            _push_half(counts, v[m], u[m] if m < k else u[m - 1], moves)
     # v_k is reachable from either spine neighbor; two pebbles on one of
     # them pay for the last hop. The written argument only considers
     # u_{k-1}, which leaves a one-pebble integrality gap at the midpoint
     # boundary (n=3), so both neighbors are tried.
-    spine = [u[i] for i in range(1, n)]
     for aim in (k - 1, k):
         if counts[u[aim]] >= 2:
             counts[u[aim]] -= 2
@@ -251,7 +253,7 @@ def _tmp_solve(n: int, counts: list[int], target: VertexLabel,
     for aim in (k - 1, k):
         need = 2 - counts[u[aim]]
         try:
-            _collect_indices(g, counts, spine, aim, need, moves)
+            _collect_indices(counts, spine, aim, need, moves)
         except PreconditionNotMet:
             continue
         counts[u[aim]] -= 2
@@ -275,10 +277,10 @@ def middle_path_strategy(n: int, d: Distribution, target: VertexLabel) -> Strate
         raise PreconditionNotMet(
             f"{d.total} pebbles, hypothesis needs {floor}")
     counts = d.vector(g)
+    ti = g.index_of(target)
     moves: list[tuple[int, int]] = []
-    tag = _tmp_solve(n, counts, target, moves)
-    final = counts[g.index_of(target)]
-    return StrategyReport(final >= 1, final, _moves_to_sequence(g, moves), tag)
+    tag = _tmp_solve(n, counts, ti, moves)
+    return StrategyReport(counts[ti] >= 1, counts[ti], _moves_to_sequence(g, moves), tag)
 
 
 def cor24_witness(n: int) -> tuple[Distribution, VertexLabel]:
@@ -309,51 +311,55 @@ def _mc_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return u, v
 
 
-@lru_cache(maxsize=128)
-def _mc_perm(n: int, rot: int, axis: str | None) -> tuple[int, ...]:
-    """Index permutation for a dihedral symmetry of M(C_{2n}): optionally
-    reflect, then rotate by ``rot``.
+def _cycle_u_position(two_n: int, lab: EdgeVertex) -> int:
+    """The i with lab == u_i of C_{two_n}."""
+    return lab.i if lab.j == lab.i + 1 else two_n - 1
+
+
+def _mc_symmetry(n: int, rot: int,
+                 axis: str | None) -> Callable[[VertexLabel], VertexLabel]:
+    """A dihedral symmetry of M(C_{2n}) on labels: optionally reflect, then
+    rotate by ``rot``.
 
     axis "vertex" fixes v_0 and v_n (v_i -> v_{-i}, u_i -> u_{-1-i}); axis
     "edge" fixes u_0 and u_n (v_i -> v_{1-i}, u_i -> u_{-i}).
     """
-    g = _mc_graph(n)
     two_n = 2 * n
-    perm = [0] * g.n
-    for idx, lab in enumerate(g.vertices):
+
+    def image(lab: VertexLabel) -> VertexLabel:
         if isinstance(lab, Original):
             i = lab.index
             if axis == "vertex":
                 i = -i
             elif axis == "edge":
                 i = 1 - i
-            image: VertexLabel = Original((i + rot) % two_n)
-        else:
-            i = _cycle_u_position(two_n, lab)
-            if axis == "vertex":
-                i = -1 - i
-            elif axis == "edge":
-                i = -i
-            image = cycle_u(two_n, (i + rot) % two_n)
-        perm[idx] = g.index_of(image)
-    return tuple(perm)
+            return Original((i + rot) % two_n)
+        i = _cycle_u_position(two_n, lab)
+        if axis == "vertex":
+            i = -1 - i
+        elif axis == "edge":
+            i = -i
+        return cycle_u(two_n, i + rot)
+    return image
 
 
-def _cycle_u_position(two_n: int, lab: EdgeVertex) -> int:
-    if lab.j == lab.i + 1:
-        return lab.i
-    if (lab.i, lab.j) == (0, two_n - 1):
-        return two_n - 1
-    raise UnknownVertex(f"{lab} is not an edge vertex of C_{two_n}")
+@lru_cache(maxsize=128)
+def _mc_perm(n: int, rot: int, axis: str | None) -> tuple[int, ...]:
+    """Index map of ``_mc_symmetry(n, rot, axis)`` on M(C_{2n})."""
+    g = _mc_graph(n)
+    return _index_map(g, g, _mc_symmetry(n, rot, axis))
 
 
-def _apply_perm_moves(counts: list[int], perm: Sequence[int],
-                      sub: list[tuple[int, int]], moves: list[tuple[int, int]]) -> None:
-    """Replay moves computed in a permuted frame onto the real counts."""
-    for a, b in sub:
-        counts[perm[a]] -= 2
-        counts[perm[b]] += 1
-        moves.append((perm[a], perm[b]))
+@lru_cache(maxsize=32)
+def _mc_half_frame(n: int, use_b: bool) -> tuple[int, ...]:
+    """Index map from M(P_{n+2}) - {v_1, v_{n+2}} onto a half of M(C_{2n}):
+    u_j -> u_{j-1} and v_j -> v_{j-1}, so the spine end u_1 lands on u_0.
+    Half B is the image of half A under the reflection fixing u_0 and u_n."""
+    two_n = 2 * n
+    flip = _mc_symmetry(n, 0, "edge" if use_b else None)
+    return _index_map(_tmp_graph(n + 2), _mc_graph(n), lambda lab: flip(
+        Original(lab.index - 1) if isinstance(lab, Original)
+        else cycle_u(two_n, lab.i - 1)))
 
 
 def _mc_u_spine(n: int, counts: list[int], t: int,
@@ -362,16 +368,11 @@ def _mc_u_spine(n: int, counts: list[int], t: int,
     every original toward u_0, then harvest the heavier half-spine. The
     two half weights add to at least twice the spine pile, so the heavier
     one always pays for the remaining pebbles."""
-    g = _mc_graph(n)
     u, v = _mc_tables(n)
     two_n = 2 * n
     for i in range(two_n):
         dest = u[0] if i in (0, 1) else (u[i - 1] if i <= n else u[i])
-        d = counts[v[i]] // 2
-        if d:
-            counts[v[i]] -= 2 * d
-            counts[dest] += d
-            moves.extend([(v[i], dest)] * d)
+        _push_half(counts, v[i], dest, moves)
     need = t - counts[u[0]]
     if need <= 0:
         return "u-target:donated"
@@ -384,9 +385,9 @@ def _mc_u_spine(n: int, counts: list[int], t: int,
     # fallback in case of a tie broken the wrong way
     first, second = (side_a, side_b) if w_a >= w_b else (side_b, side_a)
     try:
-        _collect_indices(g, counts, first, len(first), need, moves)
+        _collect_indices(counts, first, len(first), need, moves)
     except PreconditionNotMet:
-        _collect_indices(g, counts, second, len(second), need, moves)
+        _collect_indices(counts, second, len(second), need, moves)
     return "u-target:spine"
 
 
@@ -395,35 +396,22 @@ def _mc_half_round(n: int, counts: list[int], use_b: bool,
     """One induction round: route a single pebble to u_0 using at most
     2^n + n pebbles of the chosen half, which induces a trimmed middle
     path with u_0 at the spine's end."""
-    g = _mc_graph(n)
-    u, v = _mc_tables(n)
     m = n + 2
-    tg = _tmp_graph(m)
     ut, vt = _tmp_tables(m)
-    # the reflection fixing u_0 and u_n carries half B onto half A
-    perm = _mc_perm(n, 0, "edge" if use_b else None)
-    # half labels (in the possibly reflected frame) -> trimmed-path indices
-    pairs = [(u[i], ut[i + 1]) for i in range(n + 1)]
-    pairs += [(v[i], vt[i + 1]) for i in range(1, n + 1)]
-    back = {tmp_idx: cyc_idx for cyc_idx, tmp_idx in pairs}
+    frame = _mc_half_frame(n, use_b)
     budget = (1 << n) + n
-    sub_counts = [0] * tg.n
-    for cyc_idx, tmp_idx in pairs:
-        if tmp_idx == ut[1]:
-            # u_0's own pile stays put; the round must land a fresh pebble
-            continue
-        take = min(counts[perm[cyc_idx]], budget)
-        sub_counts[tmp_idx] = take
+    sub_counts = [0] * len(frame)
+    # take from u_1..u_n, then v_1..v_n of the half until the budget is
+    # spent; u_0's own pile stays put, as the round must land a fresh pebble
+    for i in ut[2:] + vt[2:m]:
+        take = min(counts[frame[i]], budget)
+        sub_counts[i] = take
         budget -= take
         if budget == 0:
             break
     sub: list[tuple[int, int]] = []
-    _tmp_solve(m, sub_counts, path_u(1), sub)
-    for a, b in sub:
-        ra, rb = perm[back[a]], perm[back[b]]
-        counts[ra] -= 2
-        counts[rb] += 1
-        moves.append((ra, rb))
+    _tmp_solve(m, sub_counts, ut[1], sub)
+    _replay_frame(counts, frame, sub, moves)
 
 
 def _mc_solve_u0(n: int, counts: list[int], t: int,
@@ -431,10 +419,9 @@ def _mc_solve_u0(n: int, counts: list[int], t: int,
     """Deliver t pebbles to u_0 of M(C_{2n}). Rounds peel one pebble each
     from the heavier half while more than one pebble is owed; the last
     pebble goes through the spine harvest."""
-    g = _mc_graph(n)
     u, v = _mc_tables(n)
     two_n = 2 * n
-    tags = []
+    rounds = []
     while t - counts[u[0]] >= 2:
         half_a = sum(counts[u[i]] for i in range(1, n + 1)) \
             + sum(counts[v[i]] for i in range(1, n + 1))
@@ -444,11 +431,12 @@ def _mc_solve_u0(n: int, counts: list[int], t: int,
             break
         use_b = half_b > half_a
         _mc_half_round(n, counts, use_b, moves)
-        tags.append("half-B" if use_b else "half-A")
+        rounds.append("half-B" if use_b else "half-A")
+    tag = f"u-target:rounds[{','.join(rounds)}]" if rounds else ""
     if counts[u[0]] < t:
-        tags.append(_mc_u_spine(n, counts, t, moves))
-    prefix = f"u-target:rounds[{','.join(tags[:-1])}]+" if len(tags) > 1 else ""
-    return prefix + (tags[-1] if tags else "u-target:already")
+        finish = _mc_u_spine(n, counts, t, moves)
+        return f"{tag}+{finish}" if rounds else finish
+    return tag or "u-target:already"
 
 
 def _mc_solve_v0(n: int, counts: list[int], t: int,
@@ -456,7 +444,6 @@ def _mc_solve_v0(n: int, counts: list[int], t: int,
     """Deliver t pebbles to v_0 of M(C_{2n}) along the half-spine path
     L = v_n u_{n-1} .. u_0 v_0, topping the spine up from the originals
     when the opposite pile does not pay on its own."""
-    g = _mc_graph(n)
     u, v = _mc_tables(n)
     need = t - counts[v[0]]
     if need <= 0:
@@ -466,104 +453,81 @@ def _mc_solve_v0(n: int, counts: list[int], t: int,
         + sum(counts[v[i]] for i in range(1, n))
     side_b = sum(counts[u[i]] for i in range(n, 2 * n)) \
         + sum(counts[v[i]] for i in range(n + 1, 2 * n))
-    perm = _mc_perm(n, 0, "vertex" if side_b > side_a else None)
-    work = [counts[perm[i]] for i in range(g.n)]
+    frame = _mc_perm(n, 0, "vertex" if side_b > side_a else None)
     sub: list[tuple[int, int]] = []
-    tag = _mc_v0_oriented(n, work, need, sub)
-    _apply_perm_moves(counts, perm, sub, moves)
+    tag = _mc_v0_oriented(n, [counts[i] for i in frame], need, sub)
+    _replay_frame(counts, frame, sub, moves)
     return tag
 
 
 def _mc_v0_oriented(n: int, counts: list[int], need: int,
                     moves: list[tuple[int, int]]) -> str:
-    g = _mc_graph(n)
     u, v = _mc_tables(n)
     spine_l = [v[n]] + [u[i] for i in range(n - 1, -1, -1)] + [v[0]]
     goal = need << (n + 1)
     if counts[v[n]] >= goal:
-        _collect_indices(g, counts, spine_l, len(spine_l), need, moves)
+        _collect_indices(counts, spine_l, len(spine_l), need, moves)
         return "v-target:spine"
     h = goal - counts[v[n]]
     q = sum(counts[u[i]] for i in range(n))
     if 2 * q >= h:  # q >= ceil(h/2)
-        _collect_indices(g, counts, spine_l, len(spine_l), need, moves)
+        _collect_indices(counts, spine_l, len(spine_l), need, moves)
         return "v-target:q-large"
     for j in range(1, n):
-        d = counts[v[j]] // 2
-        if d:
-            counts[v[j]] -= 2 * d
-            counts[u[j - 1]] += d
-            moves.extend([(v[j], u[j - 1])] * d)
-    _collect_indices(g, counts, spine_l, len(spine_l), need, moves)
+        _push_half(counts, v[j], u[j - 1], moves)
+    _collect_indices(counts, spine_l, len(spine_l), need, moves)
     return "v-target:topup"
 
 
-def _mc_canonical_target(n: int, target: VertexLabel) -> tuple[int, bool]:
-    """(rotation, is_edge_vertex) bringing the target to u_0 or v_0."""
-    two_n = 2 * n
-    if isinstance(target, Original):
-        if not 0 <= target.index < two_n:
-            raise UnknownVertex(f"{target} is not a vertex of M(C_{two_n})")
-        return target.index, False
-    if isinstance(target, EdgeVertex):
-        return _cycle_u_position(two_n, target), True
-    raise UnknownVertex(f"{target} is not a vertex of M(C_{two_n})")
+def _mc_strategy(n: int, counts: list[int], target: int, t: int,
+                 moves: list[tuple[int, int]]) -> str:
+    """Deliver t pebbles to the target index of M(C_{2n}); mutates counts,
+    appends moves, returns the case tag. Raises PreconditionNotMet, before
+    any move, below t * 2^(n+1) + 2n - 2 pebbles. The argument runs in the
+    rotated frame that puts the target on u_0 or v_0."""
+    floor = (t << (n + 1)) + 2 * n - 2
+    total = sum(counts)
+    if total < floor:
+        raise PreconditionNotMet(f"{total} pebbles, hypothesis needs {floor}")
+    lab = _mc_graph(n).vertices[target]
+    if isinstance(lab, Original):
+        frame, solve = _mc_perm(n, lab.index, None), _mc_solve_v0
+    else:
+        frame, solve = _mc_perm(n, _cycle_u_position(2 * n, lab), None), _mc_solve_u0
+    sub: list[tuple[int, int]] = []
+    tag = solve(n, [counts[i] for i in frame], t, sub)
+    _replay_frame(counts, frame, sub, moves)
+    return tag
 
 
 def middle_cycle_t_strategy(n: int, d: Distribution, target: VertexLabel,
                             t: int = 1) -> StrategyReport:
     """Deliver t pebbles to any target of M(C_{2n}) from any distribution
-    of at least t * 2^(n+1) + 2n - 2 pebbles. Non-canonical targets are
-    handled by rotating labels and rotating the moves back."""
+    of at least t * 2^(n+1) + 2n - 2 pebbles."""
     if n < 2:
         raise InvalidParameter(f"need n >= 2, got {n}")
     if t < 1:
         raise InvalidParameter(f"t must be >= 1, got {t}")
     g = _mc_graph(n)
-    floor = (t << (n + 1)) + 2 * n - 2
-    if d.total < floor:
-        raise PreconditionNotMet(f"{d.total} pebbles, hypothesis needs {floor}")
-    rot, is_u = _mc_canonical_target(n, target)
-    perm = _mc_perm(n, rot, None)  # canonical index -> actual index
-    counts = [0] * g.n
-    vec = d.vector(g)
-    for i in range(g.n):
-        counts[i] = vec[perm[i]]
-    sub: list[tuple[int, int]] = []
-    if is_u:
-        tag = _mc_solve_u0(n, counts, t, sub)
-    else:
-        tag = _mc_solve_v0(n, counts, t, sub)
-    verts = g.vertices
-    moves = [Move(verts[perm[a]], verts[perm[b]]) for a, b in sub]
-    u, v = _mc_tables(n)
-    final = counts[u[0] if is_u else v[0]]
-    return StrategyReport(final >= t, final, MoveSequence(moves), tag)
+    ti = g.index_of(target)
+    counts = d.vector(g)
+    moves: list[tuple[int, int]] = []
+    tag = _mc_strategy(n, counts, ti, t, moves)
+    return StrategyReport(counts[ti] >= t, counts[ti], _moves_to_sequence(g, moves), tag)
 
 
 # ---------------------------------------------------------------------------
 # Product collection (Cartesian product of two even-cycle middle graphs)
 
 
-def _factor_labels(gp: Graph) -> tuple[list[VertexLabel], list[VertexLabel]]:
-    left: list[VertexLabel] = []
-    right: list[VertexLabel] = []
-    seen_l, seen_r = set(), set()
-    for lab in gp.vertices:
-        if not isinstance(lab, Pair):
-            raise InvalidParameter("product strategy expects Pair-labelled vertices")
-        if lab.left not in seen_l:
-            seen_l.add(lab.left)
-            left.append(lab.left)
-        if lab.right not in seen_r:
-            seen_r.add(lab.right)
-            right.append(lab.right)
-    return left, right
-
-
 def mc_pebbling_bound(n: int) -> int:
     """The exact pebbling number of M(C_{2n}), as a closed form."""
     return (1 << (n + 1)) + 2 * n - 2
+
+
+@lru_cache(maxsize=16)
+def _mc_product(n: int, m: int) -> Graph:
+    return cartesian_product(_mc_graph(n), _mc_graph(m))
 
 
 def product_collection_strategy(gp: Graph, d: Distribution,
@@ -574,13 +538,28 @@ def product_collection_strategy(gp: Graph, d: Distribution,
     inside the column."""
     if not isinstance(target, Pair):
         raise InvalidParameter("target must be a Pair vertex")
-    left, right = _factor_labels(gp)
+    if not all(isinstance(lab, Pair) for lab in gp.vertices):
+        raise InvalidParameter("product strategy expects Pair-labelled vertices")
+    left = {lab.left for lab in gp.vertices}
+    right = {lab.right for lab in gp.vertices}
     if len(left) % 4 or len(right) % 4:
         raise InvalidParameter("factors are not even-cycle middle graphs")
     n, m = len(left) // 4, len(right) // 4
     gl, gr = _mc_graph(n), _mc_graph(m)
-    if set(left) != set(gl.vertices) or set(right) != set(gr.vertices):
+    if left != set(gl.vertices) or right != set(gr.vertices):
         raise InvalidParameter("factors are not even-cycle middle graphs")
+    # pos[p]: the index x * |V(gr)| + y of gp's vertex p in the product of
+    # the factors' own graphs, whose edges gp must have, not only its labels
+    canon = _mc_product(n, m)
+    pos = _index_map(gp, canon, lambda lab: lab)
+    edges = {(pos[a], pos[b]) if pos[a] < pos[b] else (pos[b], pos[a])
+             for a, b in gp.edges}
+    if gp.n != canon.n or edges != canon.edges:
+        raise InvalidParameter("graph is not the Cartesian product of its factors")
+    nr = gr.n
+    cells = [0] * gp.n  # the inverse of pos
+    for p, c in enumerate(pos):
+        cells[c] = p
     fn, fm = mc_pebbling_bound(n), mc_pebbling_bound(m)
     if d.total < fn * fm:
         raise PreconditionNotMet(f"{d.total} pebbles, hypothesis needs {fn * fm}")
@@ -588,65 +567,48 @@ def product_collection_strategy(gp: Graph, d: Distribution,
     if not (n >= 5 and m >= 5 and abs(n - m) >= 2):
         notes.append("guarantee-void: outside the proven regime "
                      "(needs both halves >= 5 and size gap >= 2)")
-    a, b = target.left, target.right
-    counts: dict[VertexLabel, int] = dict(d.counts)
-    moves: list[Move] = []
+    ti = gp.index_of(target)
+    a, b = divmod(pos[ti], nr)
+    counts = d.vector(gp)
+    moves: list[tuple[int, int]] = []
 
-    def fiber_counts(anchor: VertexLabel, row: bool) -> Distribution:
-        if row:
-            return Distribution({y: counts.get(Pair(anchor, y), 0) for y in right})
-        return Distribution({x: counts.get(Pair(x, anchor), 0) for x in left})
+    def row(x: int) -> list[int]:
+        return cells[x * nr:(x + 1) * nr]
 
-    def apply_fiber(report: StrategyReport, anchor: VertexLabel, row: bool) -> None:
-        for mv in report.sequence:
-            src = Pair(anchor, mv.src) if row else Pair(mv.src, anchor)
-            dst = Pair(anchor, mv.dst) if row else Pair(mv.dst, anchor)
-            counts[src] = counts.get(src, 0) - 2
-            counts[dst] = counts.get(dst, 0) + 1
-            moves.append(Move(src, dst))
+    def fiber(k: int, frame: list[int], target: int, t: int) -> int:
+        """Run the M(C_{2k}) argument in the fiber whose index map is frame;
+        returns the pebbles its target then holds."""
+        sub_counts = [counts[p] for p in frame]
+        sub: list[tuple[int, int]] = []
+        _mc_strategy(k, sub_counts, target, t, sub)
+        _replay_frame(counts, frame, sub, moves)
+        return sub_counts[target]
 
-    row_d = fiber_counts(a, row=True)
-    col_d = fiber_counts(b, row=False)
-    if row_d.total >= fm:
-        rep = middle_cycle_t_strategy(m, row_d, b, 1)
-        apply_fiber(rep, a, row=True)
-        final = counts.get(target, 0)
-        return StrategyReport(final >= 1, final, MoveSequence(moves),
-                              "fiber-direct:row", tuple(notes))
-    if col_d.total >= fn:
-        rep = middle_cycle_t_strategy(n, col_d, a, 1)
-        apply_fiber(rep, b, row=False)
-        final = counts.get(target, 0)
-        return StrategyReport(final >= 1, final, MoveSequence(moves),
-                              "fiber-direct:column", tuple(notes))
-
-    rich = []
-    for k in left:
-        if k == a:
-            continue
-        fd = fiber_counts(k, row=True)
-        if fd.total >= fm:
-            rich.append((fd.total, str(k), k, fd))
-    rich.sort(key=lambda item: (-item[0], item[1]))
-    extracted = 0
-    for total_k, _, k, fd in rich:
-        t_k = (total_k - (2 * m - 2)) >> (m + 1)
-        if t_k < 1:
-            continue
-        rep = middle_cycle_t_strategy(m, fd, b, t_k)
-        apply_fiber(rep, k, row=True)
-        extracted += rep.delivered
-    col_d = fiber_counts(b, row=False)
-    try:
-        rep = middle_cycle_t_strategy(n, col_d, a, 1)
-    except PreconditionNotMet:
-        final = counts.get(target, 0)
-        return StrategyReport(final >= 1, final, MoveSequence(moves),
-                              f"column-short:{col_d.total}<{fn}", tuple(notes))
-    apply_fiber(rep, b, row=False)
-    final = counts.get(target, 0)
-    return StrategyReport(final >= 1, final, MoveSequence(moves),
-                          f"extract[{extracted}]+column", tuple(notes))
+    column = cells[b::nr]
+    if sum(counts[p] for p in row(a)) >= fm:
+        fiber(m, row(a), b, 1)
+        tag = "fiber-direct:row"
+    elif sum(counts[p] for p in column) >= fn:
+        fiber(n, column, a, 1)
+        tag = "fiber-direct:column"
+    else:
+        rich = []
+        for x in range(gl.n):
+            total = sum(counts[p] for p in row(x))
+            if x != a and total >= fm:
+                rich.append((-total, str(gl.vertices[x]), x))
+        rich.sort()  # richest first; equal rows in the order of their labels
+        extracted = 0
+        for neg_total, _, x in rich:
+            # t_k >= 1, as a rich row holds at least fm pebbles
+            extracted += fiber(m, row(x), b, (-neg_total - (2 * m - 2)) >> (m + 1))
+        try:
+            fiber(n, column, a, 1)
+            tag = f"extract[{extracted}]+column"
+        except PreconditionNotMet:
+            tag = f"column-short:{sum(counts[p] for p in column)}<{fn}"
+    return StrategyReport(counts[ti] >= 1, counts[ti], _moves_to_sequence(gp, moves),
+                          tag, tuple(notes))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from pebblekit.cli import EXIT_USAGE, main
-from pebblekit.graphs import Graph
+from pebblekit.graphs import Graph, Original, cartesian_product, middle_cycle
 
 
 def run(argv):
@@ -154,6 +154,18 @@ def test_explain_hypothesis_not_met(mc4, tmp_path, capsys):
     assert run(["explain", "--strategy", "middle-cycle", "--graph", str(mc4),
                 "--dist", str(d), "--target", "u(0,1)"]) == 1
     assert "hypothesis" in capsys.readouterr().out
+
+
+def test_explain_product_rejects_graph_that_is_not_the_product(tmp_path):
+    # the labels of M(C4) x M(C4) without the edges inside the (v0|.) row
+    gp = cartesian_product(middle_cycle(2), middle_cycle(2))
+    in_row = {i for i, lab in enumerate(gp.vertices) if lab.left == Original(0)}
+    g = tmp_path / "g.json"
+    g.write_text(Graph(gp.vertices, [(a, b) for a, b in gp.edges
+                                     if not (a in in_row and b in in_row)]).to_json())
+    d = dist_file(tmp_path, {"(v0|v3)": 100})
+    assert run(["explain", "--strategy", "product", "--graph", str(g),
+                "--dist", str(d), "--target", "(v0|v1)"]) == 3
 
 
 def test_explain_unknown_strategy(mc4, tmp_path):

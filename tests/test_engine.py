@@ -421,6 +421,18 @@ def test_pebbling_number_of_disconnected_graph_raises():
         compute_pebbling(g)
 
 
+def test_target_out_of_reach_raises(tmp_path):
+    g = Graph([Original(1), Original(2)], [], require_connected=False)
+    d = Distribution({Original(2): 5})
+    with pytest.raises(DisconnectedGraph):
+        is_solvable(g, d, Original(1))
+    with pytest.raises(DisconnectedGraph):
+        sweep_level(g, 5, Original(1))
+    with pytest.raises(DisconnectedGraph):
+        sweep_level(g, 5, Original(1),
+                    checkpoint=SweepCheckpoint(str(tmp_path / "ck.json")))
+
+
 def test_t_pebbling_counts_beyond_a_byte():
     # f_t(P2) = 2t; the DP's packed counts must not wrap above 255
     assert t_pebbling_number(path(2), 130) == 260

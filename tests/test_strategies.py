@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from pebblekit.engine import Distribution, is_solvable, replay, weak_compositions
-from pebblekit.errors import InvalidParameter, PreconditionNotMet
-from pebblekit.graphs import (Original, Pair, cartesian_product, cycle_u,
-                              middle_cycle, path, path_u, trimmed_middle_path)
+from pebblekit.errors import InvalidParameter, PreconditionNotMet, UnknownVertex
+from pebblekit.graphs import (EdgeVertex, Graph, Original, Pair,
+                              cartesian_product, cycle_u, middle_cycle, path,
+                              path_u, trimmed_middle_path)
 from pebblekit.strategies import (PathContext, collect_on_path, cor24_witness,
                                   greedy_solver, mc_pebbling_bound,
                                   middle_cycle_t_strategy,
@@ -201,6 +202,13 @@ def test_middle_cycle_below_floor_raises():
         middle_cycle_t_strategy(2, Distribution({Original(0): 9}), cycle_u(4, 2), 1)
 
 
+def test_middle_cycle_unknown_target_raises():
+    # u(4,5) is not a vertex of M(C4); it must not be read as u(0,1)
+    for tgt in (EdgeVertex(4, 5), Original(4)):
+        with pytest.raises(UnknownVertex):
+            middle_cycle_t_strategy(2, Distribution({Original(1): 10}), tgt, 1)
+
+
 def test_middle_cycle_rounds_fire_for_large_t():
     n, t = 2, 4
     g = middle_cycle(n)
@@ -208,8 +216,17 @@ def test_middle_cycle_rounds_fire_for_large_t():
     d = Distribution({Original(2): floor})
     rep = middle_cycle_t_strategy(n, d, cycle_u(4, 0), t)
     assert rep.succeeded
-    assert "rounds" in rep.rationale or "half" in rep.rationale
+    assert rep.rationale.startswith("u-target:rounds[")
     assert replay(g, d, rep.sequence).get(cycle_u(4, 0)) >= t
+    # rounds alone deliver t: the tag lists every round and no finish; a
+    # pile on v_0 lies in half B only, which runs in the reflected frame
+    t = 2
+    for src, tag in ((Original(0), "u-target:rounds[half-B]"),
+                     (Original(1), "u-target:rounds[half-A]")):
+        d = Distribution({src: (t << (n + 1)) + 2 * n - 2})
+        rep = middle_cycle_t_strategy(n, d, cycle_u(4, 0), t)
+        assert rep.succeeded and rep.rationale == tag
+        assert replay(g, d, rep.sequence).get(cycle_u(4, 0)) == rep.delivered >= t
 
 
 # -- product collection ------------------------------------------------------
@@ -223,6 +240,12 @@ def test_product_fiber_direct():
     rep = product_collection_strategy(gp, d, tgt)
     assert rep.succeeded and rep.rationale == "fiber-direct:row"
     assert replay(gp, d, rep.sequence).get(tgt) >= 1
+    # everything in the target's column fiber, on another row
+    tgt = Pair(Original(0), Original(0))
+    d = Distribution({Pair(Original(3), Original(0)): 100})
+    rep = product_collection_strategy(gp, d, tgt)
+    assert rep.rationale == "fiber-direct:column" and rep.delivered == 25
+    assert replay(gp, d, rep.sequence).get(tgt) == 25
 
 
 def test_product_extraction_path():
@@ -258,9 +281,24 @@ def test_product_below_floor_raises():
             Pair(Original(1), Original(1)))
 
 
+def product_without_row_edges():
+    """M(C4) x M(C4) with the edges inside the (v0|.) row removed: the
+    labels of the product, not its edges."""
+    gl = middle_cycle(2)
+    gp = cartesian_product(gl, gl)
+    in_row = {i for i, lab in enumerate(gp.vertices) if lab.left == Original(0)}
+    return Graph(gp.vertices, [(a, b) for a, b in gp.edges
+                               if not (a in in_row and b in in_row)])
+
+
 def test_product_wrong_graph():
     with pytest.raises(InvalidParameter):
         product_collection_strategy(path(4), Distribution(), Original(1))
+    with pytest.raises(InvalidParameter):
+        product_collection_strategy(
+            product_without_row_edges(),
+            Distribution({Pair(Original(0), Original(3)): 100}),
+            Pair(Original(0), Original(1)))
 
 
 # -- greedy ------------------------------------------------------------------
