@@ -165,7 +165,8 @@ def cmd_pebbling_number(args) -> int:
     scope = "restricted to given targets" if report.restricted_targets \
         else "over all targets"
     print(f"f_{args.t} = {report.value} ({scope}, "
-          f"{report.distributions_checked} distributions checked)")
+          f"{report.distributions_checked} distributions checked, "
+          f"DP on {len(report.dp_targets)} of {len(report.per_target)} targets)")
     if report.witness:
         d, tgt = report.witness
         print(f"witness: size-{d.total} distribution unsolvable for {tgt}")

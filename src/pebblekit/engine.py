@@ -19,8 +19,13 @@ including moves out of the target, lands in U_{k-1}. The first empty
 level is f_t(G, target), and the colex-first member of the last non-empty
 level is the witness. The work, and what a ``Budget`` is charged (one node
 per candidate), scales with the unsolvable set rather than with the
-C(k+n-1, n-1) distributions of a level. ``sweep_level`` still classifies a
-single level by enumeration and the solver; tests use it as the reference.
+C(k+n-1, n-1) distributions of a level. Over several targets, the DP runs
+once per orbit under the graph's automorphisms, and only when a vertex
+permutation taking one target to another has been found and checked
+against the edge set are the two merged; the count of candidates and the
+budget then cover the representatives only. ``sweep_level`` still
+classifies a single level by enumeration and the solver; tests use it as
+the reference.
 
 All arithmetic that feeds a pruning decision is exact integer arithmetic;
 no floating point is involved anywhere in the search.
@@ -42,7 +47,7 @@ import numpy as np
 
 from .errors import (BudgetExceeded, DisconnectedGraph, InsufficientPebbles,
                      InvalidParameter, NotAdjacent, UnknownVertex)
-from .graphs import Graph, VertexLabel, parse_label
+from .graphs import Graph, VertexLabel, parse_label, target_orbits
 
 # ---------------------------------------------------------------------------
 # Distributions and moves
@@ -627,6 +632,7 @@ class PebblingReport:
     witness: Optional[tuple[Distribution, VertexLabel]]  # unsolvable at size value-1
     distributions_checked: int = 0
     restricted_targets: bool = False
+    dp_targets: list[VertexLabel] = field(default_factory=list)  # one per orbit
 
 
 def pebbling_number_vertex(g: Graph, v: VertexLabel, t: int = 1,
@@ -709,27 +715,46 @@ def _downset_dp(g: Graph, ti: int, t: int, budget: Optional[Budget],
 def compute_pebbling(g: Graph, targets: Optional[Sequence[VertexLabel]] = None,
                      t: int = 1, budget: Optional[Budget] = None,
                      checkpoint: Optional[SweepCheckpoint] = None) -> PebblingReport:
-    """Exact (t-)pebbling number by the down-set DP per target.
+    """Exact (t-)pebbling number by the down-set DP, run once per orbit of
+    the targets under the automorphisms of g.
 
-    ``distributions_checked`` counts the DP's candidates; the budget is
-    charged one node per candidate.
+    An automorphism carries every distribution for one target to one for
+    its image, so f_t is constant on an orbit. ``graphs.target_orbits``
+    merges a target into an earlier one only with an edge-checked
+    permutation taking the earlier to it; the DP runs on the first target
+    of each class in list order (``dp_targets``), and the others take its
+    value. The first target reaching the maximum is such a representative,
+    so the witness is the one a DP over every target would give.
+    ``distributions_checked`` counts the representatives' DP candidates;
+    the budget is charged one node per candidate.
     """
     if t < 1:
         raise InvalidParameter(f"t must be >= 1, got {t}")
+    if targets is not None and not targets:
+        raise InvalidParameter("targets is empty; pass None for all vertices")
     restricted = targets is not None
     target_list = list(targets) if targets is not None else list(g.vertices)
+    indices = [g.index_of(lab) for lab in target_list]
+    orbits = target_orbits(g, indices)
     per_target: dict[VertexLabel, int] = {}
+    dp_targets: list[VertexLabel] = []
+    values: dict[int, int] = {}  # representative index -> f_t
     best_witness: Optional[tuple[Distribution, VertexLabel]] = None
     best_value = 0
     checked = 0
-    for lab in target_list:
-        value, vec, cands = _downset_dp(g, g.index_of(lab), t, budget, checkpoint)
-        checked += cands
-        per_target[lab] = value
-        if value > best_value:
-            best_value = value
-            best_witness = (Distribution.from_vector(g, vec), lab)
-    return PebblingReport(best_value, t, per_target, best_witness, checked, restricted)
+    for lab, i in zip(target_list, indices):
+        rep = orbits[i][0]
+        if rep not in values:
+            value, vec, cands = _downset_dp(g, rep, t, budget, checkpoint)
+            checked += cands
+            values[rep] = value
+            dp_targets.append(lab)
+            if value > best_value:
+                best_value = value
+                best_witness = (Distribution.from_vector(g, vec), lab)
+        per_target[lab] = values[rep]
+    return PebblingReport(best_value, t, per_target, best_witness, checked, restricted,
+                          dp_targets)
 
 
 # ---------------------------------------------------------------------------

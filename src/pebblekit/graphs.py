@@ -17,7 +17,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DisconnectedGraph, InvalidParameter, UnknownVertex
 
@@ -414,3 +414,85 @@ def fiber_factor_bijection(p: Graph, side: str,
     if side == "left":
         return {lab: lab.right for lab in fib.vertices}
     return {lab: lab.left for lab in fib.vertices}
+
+
+# ---------------------------------------------------------------------------
+# Automorphisms (index level; used to run one pebbling DP per target orbit)
+
+
+def automorphism_taking(g: Graph, a: int, b: int) -> Optional[tuple[int, ...]]:
+    """A permutation p of V(g), as a tuple of indices, with p[a] == b that
+    carries the edge set onto itself; None when the search finds none.
+
+    Backtracking over the vertices in BFS order from a: each vertex goes to
+    an unused neighbour of its BFS parent's image, of the same degree and at
+    the same distance from the image of every vertex already placed as it is
+    from that vertex. The search gives up after a few placements per vertex,
+    so None means no map was found, not that none exists. A complete
+    assignment is checked edge by edge before it is returned.
+    """
+    n, nbrs = g.n, g.neighbors
+    da, db = g.distances_from(a), g.distances_from(b)
+    degree = [len(ns) for ns in nbrs]
+    if min(da) < 0 or sorted(zip(da, degree)) != sorted(zip(db, degree)):
+        return None
+    order = sorted(range(n), key=lambda v: (da[v], v))
+    parent = [next(w for w in nbrs[v] if da[w] == da[v] - 1) for v in order[1:]]
+    dist = [g.distances_from(v) for v in range(n)]
+    perm = [-1] * n
+    used = [False] * n
+    perm[a], used[b] = b, True
+
+    def candidates(i: int) -> Iterator[int]:
+        v, placed = order[i], order[:i]
+        dv = dist[v]
+        for w in nbrs[perm[parent[i - 1]]]:
+            if not used[w] and degree[w] == degree[v]:
+                dw = dist[w]
+                if all(dv[u] == dw[perm[u]] for u in placed):
+                    yield w
+
+    steps = 16 * n
+    todo = [candidates(1)] if n > 1 else []
+    while todo:
+        i = len(todo)
+        v = order[i]
+        if perm[v] >= 0:
+            used[perm[v]] = False
+            perm[v] = -1
+        w = next(todo[-1], None)
+        if w is None:
+            todo.pop()
+            continue
+        steps -= 1
+        if steps < 0:
+            return None
+        perm[v], used[w] = w, True
+        if i == n - 1:
+            break
+        todo.append(candidates(i + 1))
+    if not all(used) or any(not g.has_edge(perm[x], perm[y]) for x, y in g.edges):
+        return None
+    return tuple(perm)
+
+
+def target_orbits(g: Graph, targets: Sequence[int]) -> dict[int, tuple[int, tuple[int, ...]]]:
+    """Each target index -> (its representative, an automorphism of g taking
+    the representative to it). A target joins the first earlier
+    representative that ``automorphism_taking`` maps onto it, and otherwise
+    becomes a representative itself, so each representative is the first
+    of its class in list order and every merge carries a checked map."""
+    out: dict[int, tuple[int, tuple[int, ...]]] = {}
+    reps: list[int] = []
+    for x in targets:
+        if x in out:
+            continue
+        for r in reps:
+            perm = automorphism_taking(g, r, x)
+            if perm is not None:
+                out[x] = (r, perm)
+                break
+        else:
+            reps.append(x)
+            out[x] = (x, tuple(range(g.n)))
+    return out

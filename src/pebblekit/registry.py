@@ -280,7 +280,8 @@ def _check_point(claim: FormulaClaim, params: dict,
     oracle = report.value
     evidence = {"oracle": oracle, "expected": expected, "t": t,
                 "targets": None if targets is None else [str(x) for x in targets],
-                "distributions_checked": report.distributions_checked}
+                "distributions_checked": report.distributions_checked,
+                "dp_targets": [str(x) for x in report.dp_targets]}
     if claim.kind == "exact":
         ok = oracle == expected
         detail = f"oracle {oracle} {'==' if ok else '!='} formula {expected}"

@@ -104,7 +104,9 @@ def test_solve_missing_file(mc4):
 
 def test_pebbling_number_mc4(mc4, capsys):
     assert run(["pebbling-number", "--graph", str(mc4)]) == 0
-    assert "f_1 = 10" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "f_1 = 10" in out
+    assert "DP on 2 of 8 targets" in out  # one original, one edge vertex
 
 
 def test_pebbling_number_budget_inconclusive(tmp_path, capsys):
@@ -189,6 +191,17 @@ def test_verify_ineq22_refuted_point():
 def test_verify_cor24_range(capsys):
     assert run(["verify", "cor24", "--n", "3..5"]) == 0
     assert capsys.readouterr().out.count("confirmed") == 3
+
+
+def test_verify_lemma26_at_n3_with_the_default_budget(tmp_path, monkeypatch):
+    monkeypatch.delenv("PEBBLEKIT_NODE_BUDGET", raising=False)
+    monkeypatch.delenv("PEBBLEKIT_TIME_BUDGET", raising=False)
+    ledger = tmp_path / "ledger.jsonl"
+    assert run(["verify", "lemma26", "--n", "3", "--ledger", str(ledger)]) == 0
+    (rec,) = [json.loads(line) for line in ledger.read_text().splitlines()]
+    assert rec["status"] == "confirmed"
+    assert rec["evidence"]["oracle"] == 20
+    assert rec["evidence"]["dp_targets"] == ["v0", "u(0,1)"]
 
 
 def test_verify_graham(capsys):

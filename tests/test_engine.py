@@ -23,6 +23,8 @@ from pebblekit.graphs import (Graph, Original, Pair, cartesian_product,
                               path_u, trimmed_middle_path)
 from pebblekit.strategies import cor24_witness
 
+from conftest import asymmetric_graph, petersen
+
 
 # -- independent reference solver (no pruning, pure state-space search) ------
 
@@ -504,6 +506,50 @@ def test_lemma_26_at_n3():
     d, tgt = rep.witness
     assert d.total == 19 and not is_solvable(g, d, tgt).solvable
     assert pebbling_number_vertex(g, cycle_u(6, 0)) == 16
+
+
+# -- one DP per target orbit --------------------------------------------------
+
+ORBIT_GRAPHS = [
+    pytest.param(cartesian_product(path(3), path(3)), 3, id="P3xP3"),
+    pytest.param(cartesian_product(path(2), path(4)), 2, id="P2xP4"),
+    pytest.param(middle_cycle(2), 2, id="MC4"),
+    pytest.param(trimmed_middle_path(5), 3, id="TMP5"),
+    pytest.param(cycle(7), 1, id="C7"),
+    pytest.param(complete(5), 1, id="K5"),
+    pytest.param(petersen(), 1, id="Petersen"),
+    pytest.param(asymmetric_graph(), 6, id="asymmetric"),
+]
+
+
+@pytest.mark.parametrize("g,orbits", ORBIT_GRAPHS)
+def test_orbit_dp_matches_one_target_runs(g, orbits):
+    for t in (1, 2):
+        rep = compute_pebbling(g, t=t)
+        ones = {lab: compute_pebbling(g, targets=[lab], t=t) for lab in g.vertices}
+        assert rep.per_target == {lab: one.value for lab, one in ones.items()}
+        assert rep.witness == next(one.witness for one in ones.values()
+                                   if one.value == rep.value)
+        assert len(rep.dp_targets) == orbits
+        assert rep.distributions_checked == sum(
+            ones[lab].distributions_checked for lab in rep.dp_targets)
+
+
+def test_duplicate_targets_run_the_dp_once():
+    g = middle_cycle(2)
+    one = compute_pebbling(g, targets=[Original(2)])
+    rep = compute_pebbling(g, targets=[Original(2), cycle_u(4, 0), Original(0),
+                                       Original(2)])
+    assert rep.dp_targets == [Original(2), cycle_u(4, 0)]
+    assert rep.per_target == {Original(2): 10, cycle_u(4, 0): 9, Original(0): 10}
+    assert rep.witness == one.witness
+    assert rep.distributions_checked == one.distributions_checked + compute_pebbling(
+        g, targets=[cycle_u(4, 0)]).distributions_checked
+
+
+def test_empty_target_list_raises():
+    with pytest.raises(InvalidParameter):
+        compute_pebbling(path(3), targets=[])
 
 
 def test_compute_pebbling_resumes_from_checkpoint(tmp_path):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations, permutations
 
 import pytest
 
@@ -13,8 +14,10 @@ from pebblekit.graphs import (EdgeVertex, Graph, Original, Pair,
                               cartesian_product, complete, cycle, cycle_u,
                               delete_vertices, fiber, fiber_factor_bijection,
                               middle_cycle, middle_graph, parse_label, path,
-                              path_u, respects_adjacency,
+                              path_u, respects_adjacency, target_orbits,
                               trimmed_middle_path)
+
+from conftest import asymmetric_graph, petersen
 
 
 # -- labels ------------------------------------------------------------------
@@ -161,6 +164,56 @@ def test_fiber_unknown_anchor():
     gp = cartesian_product(path(2), path(2))
     with pytest.raises(UnknownVertex):
         fiber(gp, "left", Original(9))
+
+
+# -- automorphisms and target orbits -----------------------------------------
+
+ORBIT_COUNTS = [
+    pytest.param(complete(2), 1, id="K2"),
+    pytest.param(complete(5), 1, id="K5"),
+    pytest.param(petersen(), 1, id="Petersen"),
+    pytest.param(cartesian_product(path(3), path(3)), 3, id="P3xP3"),
+    pytest.param(middle_cycle(2), 2, id="MC4"),
+    pytest.param(asymmetric_graph(), 6, id="asymmetric"),
+]
+
+
+def _carries_edges(g, perm) -> bool:
+    return {tuple(sorted((perm[a], perm[b]))) for a, b in g.edges} == g.edges
+
+
+@pytest.mark.parametrize("g,count", ORBIT_COUNTS)
+def test_target_orbits_carry_checked_automorphisms(g, count):
+    orbits = target_orbits(g, range(g.n))
+    assert len({rep for rep, _ in orbits.values()}) == count
+    for x, (rep, perm) in orbits.items():
+        assert rep <= x  # the first of its class in list order
+        assert sorted(perm) == list(range(g.n))
+        assert perm[rep] == x
+        assert _carries_edges(g, perm)
+
+
+def test_asymmetric_graph_has_only_the_identity():
+    g = asymmetric_graph()
+    autos = [p for p in permutations(range(g.n)) if _carries_edges(g, p)]
+    assert autos == [tuple(range(g.n))]
+
+
+def test_target_orbits_match_brute_force_orbits():
+    # every connected graph on 5 labelled vertices: the partition equals the
+    # true orbits under all 120 vertex permutations
+    pairs = list(combinations(range(5), 2))
+    perms = list(permutations(range(5)))
+    for mask in range(1 << len(pairs)):
+        edges = [e for k, e in enumerate(pairs) if mask >> k & 1]
+        try:
+            g = Graph([Original(i) for i in range(5)], edges)
+        except DisconnectedGraph:
+            continue
+        autos = [p for p in perms if _carries_edges(g, p)]
+        orbits = target_orbits(g, range(5))
+        for x in range(5):
+            assert orbits[x][0] == min(p[x] for p in autos)
 
 
 # -- serialization -----------------------------------------------------------
