@@ -166,6 +166,7 @@ def cmd_pebbling_number(args) -> int:
         else "over all targets"
     print(f"f_{args.t} = {report.value} ({scope}, "
           f"{report.distributions_checked} distributions checked, "
+          f"max |U_k| = {report.max_level}, "
           f"DP on {len(report.dp_targets)} of {len(report.per_target)} targets)")
     if report.witness:
         d, tgt = report.witness

@@ -11,19 +11,22 @@ few integer operations instead of rebuilding either from the vector.
 
 Pebbling and t-pebbling numbers come from a dynamic program over the
 unsolvable distributions, not from the solver. They form a down-set
-(removing a pebble never makes a distribution solvable), so every
-unsolvable distribution of size k is an unsolvable one of size k-1 plus a
-pebble. From the exact set U_{k-1}, each candidate u + e_v is unsolvable
-iff it holds fewer than t pebbles on the target and every legal move,
-including moves out of the target, lands in U_{k-1}. The first empty
-level is f_t(G, target), and the colex-first member of the last non-empty
-level is the witness. The work, and what a ``Budget`` is charged (one node
-per candidate), scales with the unsolvable set rather than with the
-C(k+n-1, n-1) distributions of a level. Over several targets, the DP runs
-once per orbit under the graph's automorphisms, and only when a vertex
-permutation taking one target to another has been found and checked
-against the edge set are the two merged; the count of candidates and the
-budget then cover the representatives only. ``sweep_level`` still
+(removing a pebble never makes a distribution solvable), so for every
+unsolvable c of size k, c minus one pebble on top(c), its highest-index
+vertex holding a pebble, is unsolvable of size k-1. Level k's candidates
+are therefore u + e_v for u in U_{k-1} and v >= top(u): each is generated
+exactly once, from that one parent, with no set to deduplicate. A
+candidate is unsolvable iff it holds fewer than t pebbles on the target
+and every legal move, including moves out of the target, lands in
+U_{k-1}. The first empty level is f_t(G, target), and the colex-first
+member of the last non-empty level is the witness. The work, and what a
+``Budget`` is charged (one node per candidate; ``distributions_checked``
+counts the candidates), scales with the unsolvable set rather than with
+the C(k+n-1, n-1) distributions of a level. Over several targets, the DP
+runs once per orbit under the graph's automorphisms, and only when a
+vertex permutation taking one target to another has been found and
+checked against the edge set are the two merged; the count of candidates
+and the budget then cover the representatives only. ``sweep_level`` still
 classifies a single level by enumeration and the solver; tests use it as
 the reference.
 
@@ -601,17 +604,18 @@ class SweepCheckpoint:
         self._load().update(self._header or {}, cursor=cursor, running_verdict=verdict)
         self._store()
 
-    def load_level(self, key: str, bits: int) -> Optional[tuple[int, set[int], int]]:
-        """(k, packed U_k, candidates checked so far) saved under key, if any."""
+    def load_level(self, key: str, bits: int) -> Optional[tuple[int, set[int], int, int]]:
+        """(k, packed U_k, candidates checked so far, largest level so far)
+        saved under key, if any."""
         entry = self._load().get("levels", {}).get(key)
-        if entry is None or entry["bits"] != bits:
+        if entry is None or entry["bits"] != bits or "max_level" not in entry:
             return None
-        return entry["k"], set(entry["unsolvable"]), entry["candidates"]
+        return entry["k"], set(entry["unsolvable"]), entry["candidates"], entry["max_level"]
 
     def save_level(self, key: str, bits: int, k: int, level: set[int],
-                   candidates: int) -> None:
+                   candidates: int, max_level: int) -> None:
         self._load().setdefault("levels", {})[key] = {
-            "bits": bits, "k": k, "candidates": candidates,
+            "bits": bits, "k": k, "candidates": candidates, "max_level": max_level,
             "unsolvable": sorted(level)}
         self._store()
 
@@ -633,6 +637,7 @@ class PebblingReport:
     distributions_checked: int = 0
     restricted_targets: bool = False
     dp_targets: list[VertexLabel] = field(default_factory=list)  # one per orbit
+    max_level: int = 0  # largest |U_k| over the dp_targets' DPs
 
 
 def pebbling_number_vertex(g: Graph, v: VertexLabel, t: int = 1,
@@ -664,52 +669,65 @@ def _field_bits(g: Graph, ti: int, t: int) -> int:
 
 
 def _downset_dp(g: Graph, ti: int, t: int, budget: Optional[Budget],
-                checkpoint: Optional[SweepCheckpoint]) -> tuple[int, list[int], int]:
+                checkpoint: Optional[SweepCheckpoint]) -> tuple[int, list[int], int, int]:
     """f_t(g, target) by the down-set DP over unsolvable distributions.
 
     Returns the value, the colex-first unsolvable distribution of size
-    value-1 as a count vector, and the number of candidates checked.
-    Distributions are packed into ints, vertex v in bits [v*b, (v+1)*b), so
-    the last vertex is the most significant and integer order is colex
-    order.
+    value-1 as a count vector, the number of candidates checked, and the
+    largest level |U_k|. Distributions are packed into ints, vertex v in
+    bits [v*b, (v+1)*b), so the last vertex is the most significant and
+    integer order is colex order.
+
+    Each candidate of level k is generated once, from its one parent
+    c - e_top(c), where top(c) = (c.bit_length() - 1) // b is the highest
+    vertex holding a pebble: u in U_{k-1} is extended only by e_v for
+    v >= top(u). Since U is a down-set, every c in U_k has that parent in
+    U_{k-1}, so U_k is the same as when every u is extended by every e_v,
+    and no set is needed to deduplicate. Fields are read through
+    precomputed masks: v holds at least 2 pebbles iff c & field_v >= 2e_v.
     """
     bits = _field_bits(g, ti, t)
-    mask = (1 << bits) - 1
-    shifts = [bits * v for v in range(g.n)]
-    units = [1 << s for s in shifts]
-    # per source vertex: its shift and the packed effect of each move out
-    moves = [(s, [2 * units[a] - units[b] for b in g.neighbors[a]])
-             for a, s in enumerate(shifts)]
-    tshift = shifts[ti]
+    n = g.n
+    units = [1 << bits * v for v in range(n)]
+    fields = [((1 << bits) - 1) * e for e in units]
+    # per source vertex: its field, the packed count 2 in it, and the packed
+    # effect of each move out
+    moves = [(fields[a], 2 * units[a], [2 * units[a] - units[b] for b in g.neighbors[a]])
+             for a in range(n)]
+    tfield, tcap = fields[ti], t * units[ti]
     key = f"{graph_hash(g)}:{ti}:{t}"
-    k, prev, checked = 0, {0}, 0  # U_0: the empty distribution
+    k, prev, checked, widest = 0, {0}, 0, 1  # U_0: the empty distribution
     if checkpoint is not None:
-        k, prev, checked = checkpoint.load_level(key, bits) or (k, prev, checked)
+        k, prev, checked, widest = (checkpoint.load_level(key, bits)
+                                    or (k, prev, checked, widest))
 
     def stuck(c: int) -> bool:
-        for s, deltas in moves:
-            if (c >> s) & mask >= 2:
+        for f, two, deltas in moves:
+            if c & f >= two:
                 for d in deltas:
                     if c - d not in prev:
                         return False
         return True
 
     while True:
-        cand = {u + e for u in prev for e in units}
-        checked += len(cand)
         cur = set()
-        for c in cand:
-            if budget is not None:
-                budget.charge()
-            if (c >> tshift) & mask < t and stuck(c):
-                cur.add(c)
+        for u in prev:
+            top = (u.bit_length() - 1) // bits if u else 0
+            checked += n - top
+            for e in units[top:]:
+                if budget is not None:
+                    budget.charge()
+                c = u + e
+                if c & tfield < tcap and stuck(c):
+                    cur.add(c)
         if not cur:
             break
         k, prev = k + 1, cur
+        widest = max(widest, len(cur))
         if checkpoint is not None:
-            checkpoint.save_level(key, bits, k, prev, checked)
+            checkpoint.save_level(key, bits, k, prev, checked, widest)
     first = min(prev)
-    return k + 1, [(first >> s) & mask for s in shifts], checked
+    return k + 1, [(first & f) >> bits * v for v, f in enumerate(fields)], checked, widest
 
 
 def compute_pebbling(g: Graph, targets: Optional[Sequence[VertexLabel]] = None,
@@ -726,7 +744,8 @@ def compute_pebbling(g: Graph, targets: Optional[Sequence[VertexLabel]] = None,
     value. The first target reaching the maximum is such a representative,
     so the witness is the one a DP over every target would give.
     ``distributions_checked`` counts the representatives' DP candidates;
-    the budget is charged one node per candidate.
+    the budget is charged one node per candidate. ``max_level`` is the
+    largest level |U_k| any of those DPs held.
     """
     if t < 1:
         raise InvalidParameter(f"t must be >= 1, got {t}")
@@ -741,12 +760,13 @@ def compute_pebbling(g: Graph, targets: Optional[Sequence[VertexLabel]] = None,
     values: dict[int, int] = {}  # representative index -> f_t
     best_witness: Optional[tuple[Distribution, VertexLabel]] = None
     best_value = 0
-    checked = 0
+    checked = max_level = 0
     for lab, i in zip(target_list, indices):
         rep = orbits[i][0]
         if rep not in values:
-            value, vec, cands = _downset_dp(g, rep, t, budget, checkpoint)
+            value, vec, cands, widest = _downset_dp(g, rep, t, budget, checkpoint)
             checked += cands
+            max_level = max(max_level, widest)
             values[rep] = value
             dp_targets.append(lab)
             if value > best_value:
@@ -754,7 +774,7 @@ def compute_pebbling(g: Graph, targets: Optional[Sequence[VertexLabel]] = None,
                 best_witness = (Distribution.from_vector(g, vec), lab)
         per_target[lab] = values[rep]
     return PebblingReport(best_value, t, per_target, best_witness, checked, restricted,
-                          dp_targets)
+                          dp_targets, max_level)
 
 
 # ---------------------------------------------------------------------------

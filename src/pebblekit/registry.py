@@ -324,11 +324,12 @@ class GrahamReport:
 def check_graham(g: Graph, h: Graph,
                  budget: Optional[Budget] = None) -> GrahamReport:
     """Compare f(g x h) against f(g) * f(h), all three exactly. Budget
-    exhaustion at any of the three computations is inconclusive."""
+    exhaustion at any of the three computations is inconclusive. Equal
+    factors share one computation."""
     fg = fh = fp = None
     try:
         fg = compute_pebbling(g, budget=budget).value
-        fh = compute_pebbling(h, budget=budget).value
+        fh = fg if h == g else compute_pebbling(h, budget=budget).value
         fp = compute_pebbling(cartesian_product(g, h), budget=budget).value
     except BudgetExceeded:
         return GrahamReport("inconclusive", fg, fh, fp)

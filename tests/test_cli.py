@@ -107,6 +107,7 @@ def test_pebbling_number_mc4(mc4, capsys):
     out = capsys.readouterr().out
     assert "f_1 = 10" in out
     assert "DP on 2 of 8 targets" in out  # one original, one edge vertex
+    assert "max |U_k| = 155" in out
 
 
 def test_pebbling_number_budget_inconclusive(tmp_path, capsys):
@@ -207,6 +208,14 @@ def test_verify_lemma26_at_n3_with_the_default_budget(tmp_path, monkeypatch):
 def test_verify_graham(capsys):
     assert run(["verify", "graham", "--left", "path:2", "--right", "path:3"]) == 0
     assert "holds" in capsys.readouterr().out
+
+
+def test_verify_graham_with_a_middle_graph_factor(capsys, monkeypatch):
+    # f(M(C4) x P2) = 18 <= 10 * 2, exactly and within the default budget
+    monkeypatch.delenv("PEBBLEKIT_NODE_BUDGET", raising=False)
+    monkeypatch.delenv("PEBBLEKIT_TIME_BUDGET", raising=False)
+    assert run(["verify", "graham", "--left", "m-cycle:2", "--right", "path:2"]) == 0
+    assert "holds (f_left=10, f_right=2, f_product=18)" in capsys.readouterr().out
 
 
 def test_verify_unknown_claim():

@@ -497,6 +497,79 @@ def test_dp_matches_unpruned_search():
                 assert all(map(solvable, weak_compositions(f, g.n)))
 
 
+def allpairs_downset_dp(g, ti, t):
+    """The DP's level step before candidates had one parent: every u in
+    U_{k-1} plus every e_v, deduplicated by a set, each field read by shift
+    and mask. Returns (f_t, colex-first witness vector, candidates)."""
+    bits = ((g.n - 1) * ((t << g.diameter()) - 1) + t).bit_length()
+    mask = (1 << bits) - 1
+    units = [1 << bits * v for v in range(g.n)]
+    moves = [(bits * a, [2 * units[a] - units[b] for b in g.neighbors[a]])
+             for a in range(g.n)]
+    k, prev, checked = 0, {0}, 0
+
+    def stuck(c):
+        return all(c - d in prev for s, deltas in moves if (c >> s) & mask >= 2
+                   for d in deltas)
+    while True:
+        cand = {u + e for u in prev for e in units}
+        checked += len(cand)
+        cur = {c for c in cand if (c >> bits * ti) & mask < t and stuck(c)}
+        if not cur:
+            break
+        k, prev = k + 1, cur
+    first = min(prev)
+    return k + 1, [(first >> bits * v) & mask for v in range(g.n)], checked
+
+
+# (graph, t values, targets; None means all). Vertex-transitive graphs are
+# checked at one target, M(C4) and P3xP3 at one target of each orbit of
+# their automorphisms, as in DP_DIFFERENTIAL. Left out because the
+# reference alone takes seconds on them: TMP(5) at t=3 (1.8 s), Petersen
+# at t=3 (3.5 s) and P3xP3 at t=3 (about 12 s).
+ONE_PARENT_DIFFERENTIAL = [
+    pytest.param(path(2), (1, 2, 3), None, id="P2"),
+    pytest.param(path(3), (1, 2, 3), None, id="P3"),
+    pytest.param(path(4), (1, 2, 3), None, id="P4"),
+    pytest.param(path(5), (1, 2, 3), None, id="P5"),
+    pytest.param(cycle(4), (1, 2, 3), [Original(0)], id="C4"),
+    pytest.param(cycle(5), (1, 2, 3), [Original(0)], id="C5"),
+    pytest.param(cycle(6), (1, 2, 3), [Original(0)], id="C6"),
+    pytest.param(cycle(7), (1, 2, 3), [Original(0)], id="C7"),
+    pytest.param(complete(4), (1, 2, 3), [Original(1)], id="K4"),
+    pytest.param(trimmed_middle_path(4), (1, 2, 3), None, id="TMP4"),
+    pytest.param(trimmed_middle_path(5), (1, 2), None, id="TMP5"),
+    pytest.param(middle_cycle(2), (1, 2, 3), [Original(0), cycle_u(4, 0)], id="MC4"),
+    pytest.param(cartesian_product(path(2), path(3)), (1, 2, 3), None, id="P2xP3"),
+    pytest.param(cartesian_product(path(3), path(3)), (1, 2),
+                 [Pair(Original(1), Original(1)), Pair(Original(1), Original(2)),
+                  Pair(Original(2), Original(2))], id="P3xP3"),
+    pytest.param(petersen(), (1, 2), [Original(0)], id="Petersen"),
+]
+
+
+@pytest.mark.parametrize("g,ts,targets", ONE_PARENT_DIFFERENTIAL)
+def test_one_parent_candidates_match_all_pairs_step(g, ts, targets):
+    # Lemma: removing a pebble never makes a distribution solvable, so every
+    # c in U_k has its parent c - e_top(c) in U_{k-1}, and extending each u
+    # only at vertices >= top(u) loses no member of U_k.
+    for t in ts:
+        for lab in targets or g.vertices:
+            value, vec, cands = allpairs_downset_dp(g, g.index_of(lab), t)
+            rep = compute_pebbling(g, targets=[lab], t=t)
+            assert rep.value == value, (lab, t)
+            assert rep.witness == (Distribution.from_vector(g, vec), lab), (lab, t)
+            assert rep.distributions_checked <= cands, (lab, t)
+
+
+def test_budget_charges_one_node_per_candidate():
+    g = middle_cycle(2)
+    rep = compute_pebbling(g)
+    assert compute_pebbling(g, budget=Budget(node_cap=rep.distributions_checked)) == rep
+    with pytest.raises(BudgetExceeded):
+        compute_pebbling(g, budget=Budget(node_cap=rep.distributions_checked - 1))
+
+
 def test_lemma_26_at_n3():
     # rotations of C6 act transitively on the originals and on the edge
     # vertices, so these two targets give f(M(C6)) = 20

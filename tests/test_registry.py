@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from pebblekit import engine, strategies
+from pebblekit import engine, registry, strategies
 from pebblekit.engine import Budget
 from pebblekit.errors import InvalidParameter
 from pebblekit.graphs import path
@@ -134,6 +134,19 @@ def test_graham_p2_p2():
     rep = check_graham(path(2), path(2))
     assert (rep.verdict, rep.f_left, rep.f_right, rep.f_product) == \
         ("holds", 2, 2, 4)
+
+
+def test_graham_computes_an_equal_factor_once(monkeypatch):
+    calls = []
+
+    def counting(g, **kwargs):
+        calls.append(g)
+        return engine.compute_pebbling(g, **kwargs)
+    monkeypatch.setattr(registry, "compute_pebbling", counting)
+    rep = check_graham(path(3), path(3))
+    assert (rep.verdict, rep.f_left, rep.f_right, rep.f_product) == \
+        ("holds", 4, 4, 16)
+    assert [c.n for c in calls] == [3, 9]  # f(P3) once, then f(P3 x P3)
 
 
 def test_graham_inconclusive_on_budget():
