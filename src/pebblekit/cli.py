@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from . import graphs, registry, strategies
@@ -25,17 +24,6 @@ EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
 
 
-@dataclass
-class RunConfig:
-    node_budget: Optional[int]
-    time_budget: Optional[float]
-
-    def budget(self) -> Budget:
-        if self.node_budget is None and self.time_budget is None:
-            return Budget.from_env()
-        return Budget(self.node_budget, self.time_budget)
-
-
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget-nodes", type=int, default=None,
                    help="cap on search nodes; pebbling-number charges one "
@@ -44,8 +32,11 @@ def _add_budget_flags(p: argparse.ArgumentParser) -> None:
                    help="wall-time cap in seconds")
 
 
-def _config(args) -> RunConfig:
-    return RunConfig(args.budget_nodes, args.budget_seconds)
+def _budget(args) -> Budget:
+    """The budget the flags ask for; the environment's when neither is given."""
+    if args.budget_nodes is None and args.budget_seconds is None:
+        return Budget.from_env()
+    return Budget(args.budget_nodes, args.budget_seconds)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +126,7 @@ def cmd_solve(args) -> int:
               f"pebble(s) on {target}, needed {args.t}")
         return EXIT_NEGATIVE
     try:
-        outcome = is_solvable(g, d, target, args.t, _config(args).budget())
+        outcome = is_solvable(g, d, target, args.t, _budget(args))
     except BudgetExceeded as exc:
         print(f"inconclusive: {exc}")
         return EXIT_INCONCLUSIVE
@@ -158,7 +149,7 @@ def cmd_pebbling_number(args) -> int:
     checkpoint = SweepCheckpoint(args.checkpoint) if args.checkpoint else None
     try:
         report = compute_pebbling(g, targets=targets, t=args.t,
-                                  budget=_config(args).budget(), checkpoint=checkpoint)
+                                  budget=_budget(args), checkpoint=checkpoint)
     except BudgetExceeded as exc:
         print(f"inconclusive: {exc}")
         return EXIT_INCONCLUSIVE
@@ -263,12 +254,11 @@ _VERIFY_CLAIMS = {
 
 
 def cmd_verify(args) -> int:
-    cfg = _config(args)
     if args.claim == "graham":
         if not args.left or not args.right:
             raise PebbleError("graham needs --left and --right family specs")
         rep = registry.check_graham(graph_from_spec(args.left),
-                                    graph_from_spec(args.right), cfg.budget())
+                                    graph_from_spec(args.right), _budget(args))
         print(f"graham: {rep.verdict} "
               f"(f_left={rep.f_left}, f_right={rep.f_right}, f_product={rep.f_product})")
         return {"holds": EXIT_OK, "violated": EXIT_NEGATIVE}.get(
@@ -287,7 +277,7 @@ def cmd_verify(args) -> int:
             raise PebbleError(f"claim {args.claim} needs --{pname}")
         points = [dict(pt, **{pname: v}) for pt in points for v in values]
     ledger = registry.ClaimLedger(args.ledger) if args.ledger else None
-    records = registry.check_claim(name, points, cfg.budget(), ledger)
+    records = registry.check_claim(name, points, _budget(args), ledger)
     for rec in records:
         flag = "" if rec.hypothesis_ok else "  [out of hypothesis]"
         print(f"{rec.claim} {json.dumps(rec.params, sort_keys=True)}: "

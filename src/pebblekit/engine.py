@@ -42,11 +42,9 @@ import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import groupby, islice
+from itertools import groupby
 from math import comb
 from typing import Iterator, Optional, Sequence
-
-import numpy as np
 
 from .errors import (BudgetExceeded, DisconnectedGraph, InsufficientPebbles,
                      InvalidParameter, NotAdjacent, UnknownVertex)
@@ -83,10 +81,6 @@ class Distribution:
     @classmethod
     def from_vector(cls, g: Graph, vec: Sequence[int]) -> "Distribution":
         return cls({g.vertices[i]: int(c) for i, c in enumerate(vec) if c})
-
-    def restricted(self, labels) -> "Distribution":
-        keep = set(labels)
-        return Distribution({lab: c for lab, c in self.counts.items() if lab in keep})
 
     def adding(self, lab: VertexLabel, k: int = 1) -> "Distribution":
         new = dict(self.counts)
@@ -434,61 +428,38 @@ def is_solvable(g: Graph, d: Distribution, target: VertexLabel, t: int = 1,
 
 def weak_compositions(k: int, parts: int) -> Iterator[tuple[int, ...]]:
     """All weak compositions of k into ``parts`` parts, in colexicographic
-    order (the last coordinate is the most significant and rises last...
-    i.e. tuples sort by comparing the highest-index differing coordinate)."""
-    if parts == 1:
-        yield (k,)
-        return
-    for last in range(k + 1):
-        for rest in weak_compositions(k - last, parts - 1):
-            yield rest + (last,)
+    order: tuples sort by their highest-index differing coordinate, so the
+    last coordinate rises slowest.
+
+    Iterative, so any number of parts is fine. The successor of a row whose
+    lowest nonzero coordinate h < parts-1 holds s: one of those s pebbles
+    moves up to h+1 and the other s-1 drop to coordinate 0."""
+    if k < 0:
+        raise InvalidParameter(f"k must be >= 0, got {k}")
+    if parts < 1:
+        raise InvalidParameter(f"parts must be >= 1, got {parts}")
+    row = [k] + [0] * (parts - 1)
+    h = 0 if k else parts - 1
+    while True:
+        yield tuple(row)
+        if h == parts - 1:
+            return
+        s = row[h]
+        row[h] = 0
+        row[h + 1] += 1
+        row[0] = s - 1
+        h = 0 if s > 1 else h + 1
 
 
 def enumerate_distributions(g: Graph, k: int) -> Iterator[Distribution]:
     """Every distribution of exactly k pebbles on V(g), colex order, lazily."""
-    if k < 0:
-        raise InvalidParameter(f"k must be >= 0, got {k}")
     for vec in weak_compositions(k, g.n):
         yield Distribution.from_vector(g, vec)
 
 
-# Composition arrays are shared across the per-target loops of a sweep.
-_COMP_CACHE: dict[tuple[int, int], np.ndarray] = {}
-_COMP_CACHE_MAX = 3
-
-
-def _compositions_array(k: int, parts: int) -> np.ndarray:
-    """All weak compositions of k into ``parts`` parts as an int16 array,
-    rows in the same colex order as :func:`weak_compositions`."""
-    key = (k, parts)
-    hit = _COMP_CACHE.get(key)
-    if hit is not None:
-        return hit
-
-    memo: dict[tuple[int, int], np.ndarray] = {}
-
-    def build(kk: int, pp: int) -> np.ndarray:
-        got = memo.get((kk, pp))
-        if got is not None:
-            return got
-        if pp == 1:
-            out = np.array([[kk]], dtype=np.int16)
-        else:
-            blocks = []
-            for last in range(kk + 1):
-                rest = build(kk - last, pp - 1)
-                col = np.full((rest.shape[0], 1), last, dtype=np.int16)
-                blocks.append(np.hstack([rest, col]))
-            out = np.vstack(blocks)
-        memo[(kk, pp)] = out
-        return out
-
-    arr = build(k, parts)
-    arr.setflags(write=False)
-    if len(_COMP_CACHE) >= _COMP_CACHE_MAX:
-        _COMP_CACHE.pop(next(iter(_COMP_CACHE)))
-    _COMP_CACHE[key] = arr
-    return arr
+# The benchmark's tracer times the enumeration under this name; it can go
+# once the benchmark reads DP counters instead (ROADMAP item 2).
+_compositions_array = weak_compositions
 
 
 # ---------------------------------------------------------------------------
@@ -503,79 +474,38 @@ class SweepResult:
 
 
 def sweep_level(g: Graph, k: int, target: VertexLabel, t: int = 1,
-                budget: Optional[Budget] = None,
-                checkpoint: Optional["SweepCheckpoint"] = None) -> SweepResult:
+                budget: Optional[Budget] = None) -> SweepResult:
     """Decide whether every distribution of size k is t-solvable for target.
 
-    The vectorized path classifies whole levels at once: rows with enough
-    pebbles already on the target, rows where one vertex can pay the 2^d
-    toll alone, and rows whose exact potential falls below t (these are
-    certified unsolvable without search). The rest go through the solver.
-    Either path returns the first unsolvable row in colex order.
+    Walks the level's weak compositions in colex order and solves each row.
+    The first unsolvable row is the counterexample, and ``checked`` is its
+    1-based position (the level size when every row is solvable). The
+    budget is charged the whole level up front, and the solver's nodes on
+    top. Pebbling numbers come from the down-set DP; this is its reference.
     """
+    if t < 1:
+        raise InvalidParameter(f"t must be >= 1, got {t}")
+    if k < 0:
+        raise InvalidParameter(f"k must be >= 0, got {k}")
     ti = g.index_of(target)
-    dist = _reach(g, ti)
+    _reach(g, ti)
     count = comb(k + g.n - 1, g.n - 1)
     if budget is not None:
         budget.charge(count)
-    if checkpoint is not None:
-        return _sweep_level_python(g, k, ti, t, budget, checkpoint)
-
-    arr = _compositions_array(k, g.n)
-    ecc = max(dist)
-    goal = t << ecc
-
-    pot = np.zeros(arr.shape[0], dtype=np.int64)
-    for v in range(g.n):
-        pot += arr[:, v].astype(np.int64) << (ecc - dist[v])
-    unsolv = pot < goal
-    # rows after the first potential-certified one need no solver call
-    first_cert = int(np.argmax(unsolv)) if unsolv.any() else count
-
-    solved = arr[:first_cert, ti] >= t
-    thresh = np.array([min(t << dist[v], k + 1) for v in range(g.n)], dtype=np.int16)
-    solved |= (arr[:first_cert] >= thresh[None, :]).any(axis=1)
-
-    for idx in np.nonzero(~solved)[0]:
-        ok, _, _ = _solve_counts(g, [int(c) for c in arr[idx]], ti, t, budget)
-        if not ok:
-            return SweepResult(False, Distribution.from_vector(g, arr[idx]), int(idx) + 1)
-    if first_cert < count:
-        return SweepResult(False, Distribution.from_vector(g, arr[first_cert]),
-                           first_cert + 1)
+    for checked, vec in enumerate(weak_compositions(k, g.n), 1):
+        if not _solve_counts(g, list(vec), ti, t, budget)[0]:
+            return SweepResult(False, Distribution.from_vector(g, vec), checked)
     return SweepResult(True, None, count)
 
 
-def _sweep_level_python(g: Graph, k: int, ti: int, t: int,
-                        budget: Optional[Budget],
-                        checkpoint: "SweepCheckpoint") -> SweepResult:
-    gen = weak_compositions(k, g.n)
-    start = checkpoint.resume(g, k, ti, t)
-    checked = start
-    for vec in islice(gen, start, None):
-        ok, _, _ = _solve_counts(g, list(vec), ti, t, budget)
-        checked += 1
-        if not ok:
-            checkpoint.record(checked, "counterexample")
-            return SweepResult(False, Distribution.from_vector(g, vec), checked)
-        if checked % 10000 == 0:
-            checkpoint.record(checked, "all-solvable-so-far")
-    checkpoint.record(checked, "all-solvable")
-    return SweepResult(True, None, checked)
-
-
 class SweepCheckpoint:
-    """Resumable progress of long computations, persisted as one JSON file.
-
-    ``sweep_level`` keeps a cursor into the level it sweeps.
-    ``compute_pebbling`` keeps, per graph hash, target and t, the last
-    completed non-empty level of unsolvable distributions, so a resumed run
-    continues from there.
+    """Resumable progress of ``compute_pebbling``, persisted as one JSON
+    file: per graph hash, target and t, the last completed non-empty level
+    of unsolvable distributions, so a resumed run continues from there.
     """
 
     def __init__(self, path: str):
         self.path = path
-        self._header: dict | None = None
         self._data: dict | None = None
 
     def _load(self) -> dict:
@@ -591,18 +521,6 @@ class SweepCheckpoint:
         with open(tmp, "w") as fh:
             json.dump(self._load(), fh)
         os.replace(tmp, self.path)
-
-    def resume(self, g: Graph, k: int, target_idx: int, t: int) -> int:
-        header = {"graph_hash": graph_hash(g), "k": k, "target": target_idx, "t": t}
-        self._header = header
-        data = self._load()
-        if all(data.get(key) == val for key, val in header.items()):
-            return int(data.get("cursor", 0))
-        return 0
-
-    def record(self, cursor: int, verdict: str) -> None:
-        self._load().update(self._header or {}, cursor=cursor, running_verdict=verdict)
-        self._store()
 
     def load_level(self, key: str, bits: int) -> Optional[tuple[int, set[int], int, int]]:
         """(k, packed U_k, candidates checked so far, largest level so far)

@@ -173,9 +173,6 @@ class Graph:
     def adjacent(self, a: VertexLabel, b: VertexLabel) -> bool:
         return self.has_edge(self.index_of(a), self.index_of(b))
 
-    def degree(self, idx: int) -> int:
-        return len(self.neighbors[idx])
-
     def _is_connected(self) -> bool:
         seen = [False] * self.n
         seen[0] = True

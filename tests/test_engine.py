@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -6,9 +8,10 @@ from typing import Optional
 
 import pytest
 
+import pebblekit
 from pebblekit.engine import (Budget, Distribution, Move, MoveSequence,
-                              SweepCheckpoint, _compositions_array,
-                              _drain_route, _greedy_counts, _solve_counts,
+                              SweepCheckpoint, _drain_route,
+                              _greedy_counts, _solve_counts,
                               apply_move, compute_pebbling,
                               enumerate_distributions, is_solvable,
                               lower_bound, pebbling_number,
@@ -327,11 +330,33 @@ def test_weak_compositions_count_and_order():
     assert rows == sorted(rows, key=lambda r: r[::-1])
 
 
-def test_compositions_array_matches_generator():
-    arr = _compositions_array(5, 4)
-    rows = list(weak_compositions(5, 4))
-    assert arr.shape == (len(rows), 4)
-    assert [tuple(int(x) for x in row) for row in arr] == rows
+def recursive_weak_compositions(k, parts):
+    """The colex order, by recursion on the last coordinate: the reference
+    the iterative generator must reproduce."""
+    if parts == 1:
+        yield (k,)
+        return
+    for last in range(k + 1):
+        for rest in recursive_weak_compositions(k - last, parts - 1):
+            yield rest + (last,)
+
+
+def test_weak_compositions_match_the_recursive_order():
+    for k in range(7):
+        for parts in range(1, 7):
+            assert list(weak_compositions(k, parts)) == \
+                list(recursive_weak_compositions(k, parts)), (k, parts)
+
+
+def test_weak_compositions_reject_bad_input_and_take_many_parts():
+    for k, parts in ((-1, 1), (2, 0), (0, -3)):
+        with pytest.raises(InvalidParameter):
+            list(weak_compositions(k, parts))
+    # deeper than the recursion limit: one row per position of the pebble
+    rows = list(weak_compositions(1, 2000))
+    assert len(rows) == 2000
+    assert rows[0][0] == 1 and rows[-1][-1] == 1
+    assert list(weak_compositions(0, 3)) == [(0, 0, 0)]
 
 
 def test_enumerate_distributions():
@@ -355,25 +380,23 @@ def test_sweep_level_all_solvable():
     assert sweep_level(g, 4, Original(3)).all_solvable
 
 
-def test_sweep_level_paths_return_the_same_counterexample(tmp_path):
-    # the vectorized path used to return the first potential-certified row;
-    # on C6 that is {v5:7}, while the first unsolvable row is earlier
-    cp = SweepCheckpoint(str(tmp_path / "cp.json"))
+def test_sweep_level_returns_the_first_unsolvable_row():
+    # not the first row certified by the potential alone, which on C6 is
+    # {v5:7}: the first unsolvable row comes earlier
     g = cycle(6)
     res = sweep_level(g, 7, Original(2))
     assert res.counterexample == Distribution(
         {Original(0): 1, Original(4): 1, Original(5): 5})
-    assert sweep_level(g, 7, Original(2), checkpoint=cp).counterexample == \
-        res.counterexample
-    for g in (path(4), cycle(5), complete(4), trimmed_middle_path(4)):
-        for t in (1, 2, 3):
-            for lab in g.vertices:
-                f = pebbling_number_vertex(g, lab, t)
-                for k in range(1, f):
-                    fast = sweep_level(g, k, lab, t)
-                    slow = sweep_level(g, k, lab, t, checkpoint=cp)
-                    assert (fast.counterexample, fast.checked) == \
-                        (slow.counterexample, slow.checked), (g, lab, t, k)
+    rows = list(enumerate_distributions(g, 7))
+    assert rows.index(res.counterexample) == res.checked - 1
+
+
+def test_sweep_level_rejects_bad_parameters():
+    g = path(3)
+    with pytest.raises(InvalidParameter):
+        sweep_level(g, -1, Original(3))
+    with pytest.raises(InvalidParameter):
+        sweep_level(g, 4, Original(3), t=0)
 
 
 def test_path_pebbling_numbers():
@@ -423,16 +446,13 @@ def test_pebbling_number_of_disconnected_graph_raises():
         compute_pebbling(g)
 
 
-def test_target_out_of_reach_raises(tmp_path):
+def test_target_out_of_reach_raises():
     g = Graph([Original(1), Original(2)], [], require_connected=False)
     d = Distribution({Original(2): 5})
     with pytest.raises(DisconnectedGraph):
         is_solvable(g, d, Original(1))
     with pytest.raises(DisconnectedGraph):
         sweep_level(g, 5, Original(1))
-    with pytest.raises(DisconnectedGraph):
-        sweep_level(g, 5, Original(1),
-                    checkpoint=SweepCheckpoint(str(tmp_path / "ck.json")))
 
 
 def test_t_pebbling_counts_beyond_a_byte():
@@ -463,15 +483,14 @@ DP_DIFFERENTIAL = [
 
 
 @pytest.mark.parametrize("g,ts,targets", DP_DIFFERENTIAL)
-def test_dp_matches_level_sweep(g, ts, targets, tmp_path):
-    cp = SweepCheckpoint(str(tmp_path / "cp.json"))
+def test_dp_matches_level_sweep(g, ts, targets):
     for t in ts:
         rep = compute_pebbling(g, t=t)
         best = None
         for lab in targets or g.vertices:
             f = rep.per_target[lab]
             one = compute_pebbling(g, targets=[lab], t=t)
-            below = sweep_level(g, f - 1, lab, t, checkpoint=cp)
+            below = sweep_level(g, f - 1, lab, t)
             assert not below.all_solvable
             assert sweep_level(g, f, lab, t).all_solvable
             assert one.per_target == {lab: f}
@@ -651,13 +670,10 @@ def test_lower_bound_certified():
         assert witnesses  # each was re-certified unsolvable inside
 
 
-def test_sweep_checkpoint_resume(tmp_path):
-    g = path(3)
-    cp = SweepCheckpoint(str(tmp_path / "cp.json"))
-    res = sweep_level(g, 4, Original(3), checkpoint=cp)
-    assert res.all_solvable
-    # a second run with the same header resumes at the end: nothing rechecked
-    cp2 = SweepCheckpoint(str(tmp_path / "cp.json"))
-    assert cp2.resume(g, 4, g.index_of(Original(3)), 1) == res.checked
-    # a different level does not match the header
-    assert cp2.resume(g, 5, g.index_of(Original(3)), 1) == 0
+def test_import_leaves_numpy_out():
+    # a fresh interpreter that finds the same pebblekit as this one
+    src = os.path.dirname(os.path.dirname(pebblekit.__file__))
+    code = "import sys, pebblekit; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "False"
