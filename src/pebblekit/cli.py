@@ -1,8 +1,11 @@
 """Batch command-line front end.
 
 Exit codes are a stable scripting contract: 0 = solvable/confirmed/holds,
-1 = unsolvable/refuted/violated, 2 = inconclusive (budget), 3 = usage or
-parse error.
+1 = unsolvable/refuted/violated or a strategy's hypothesis not met,
+2 = inconclusive (a budget ran out), 3 = usage error: a bad flag, name or
+parameter, or an input file that is missing, not JSON, or not of the
+expected shape. Commands return 0 or 1 for their own verdicts and raise
+for the rest; ``main`` is the one place that maps errors to exit codes.
 """
 
 from __future__ import annotations
@@ -10,13 +13,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from typing import Callable, Optional
 
 from . import graphs, registry, strategies
 from .engine import (Budget, Distribution, MoveSequence, compute_pebbling,
                      is_solvable, replay, SweepCheckpoint)
-from .errors import BudgetExceeded, PebbleError, PreconditionNotMet
-from .graphs import Graph, parse_label
+from .errors import (BudgetExceeded, InvalidParameter, PebbleError,
+                     PreconditionNotMet, UnknownVertex)
+from .graphs import Graph, Original, parse_label
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -39,37 +43,59 @@ def _budget(args) -> Budget:
     return Budget(args.budget_nodes, args.budget_seconds)
 
 
+def _int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidParameter(f"{what} needs an integer, got {text!r}") from None
+
+
 # ---------------------------------------------------------------------------
-# Family shorthand: name:param, e.g. m-cycle:2, m-path-trimmed:4
+# Graph families, by the names both `construct FAMILY --n N` and the
+# `FAMILY:N` specs of --left/--right accept
+
+
+def _middle_path(n: int) -> Graph:
+    return graphs.middle_graph(graphs.path(n))
+
+
+FAMILIES: dict[str, Callable[[int], Graph]] = {
+    "path": graphs.path,
+    "cycle": graphs.cycle,
+    "complete": graphs.complete,
+    "m-path": _middle_path,
+    "middle-path": _middle_path,
+    "m-path-trimmed": graphs.trimmed_middle_path,
+    "m-cycle": graphs.middle_cycle,
+    "middle-cycle": graphs.middle_cycle,
+}
 
 
 def graph_from_spec(spec: str) -> Graph:
+    """A family spec name:param, e.g. m-cycle:2 or m-path-trimmed:4."""
     name, _, num = spec.partition(":")
     if not num:
         raise PebbleError(f"family spec needs a parameter, e.g. {name}:4")
-    n = int(num)
-    builders = {
-        "path": graphs.path,
-        "cycle": graphs.cycle,
-        "complete": graphs.complete,
-        "m-path": lambda n: graphs.middle_graph(graphs.path(n)),
-        "m-path-trimmed": graphs.trimmed_middle_path,
-        "m-cycle": graphs.middle_cycle,
-    }
-    if name not in builders:
+    if name not in FAMILIES:
         raise PebbleError(f"unknown family {name!r} "
-                          f"(known: {', '.join(sorted(builders))})")
-    return builders[name](n)
+                          f"(known: {', '.join(sorted(FAMILIES))})")
+    return FAMILIES[name](_int(num, f"family spec {spec!r}"))
 
 
-def _load_graph(path: str) -> Graph:
+def _read_json(path: str, parse: Callable):
+    """Read a graph, distribution or witness file: ``parse`` turns its JSON
+    into the object. A file that is JSON but not of the shape ``parse``
+    expects is an InvalidParameter naming the file."""
     with open(path) as fh:
-        return Graph.from_json(fh.read())
-
-
-def _load_dist(path: str) -> Distribution:
-    with open(path) as fh:
-        return Distribution.from_json_dict(json.load(fh))
+        data = json.load(fh)
+    try:
+        return parse(data)
+    except PebbleError:
+        raise
+    except (ArithmeticError, AttributeError, LookupError, TypeError,
+            ValueError) as exc:
+        raise InvalidParameter(f"malformed input file {path}: "
+                               f"{type(exc).__name__}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -86,17 +112,12 @@ def cmd_construct(args) -> int:
         if not args.graph or not args.delete:
             raise PebbleError("delete needs --graph and --delete labels")
         labels = [parse_label(s) for s in args.delete.split(",")]
-        g = graphs.delete_vertices(_load_graph(args.graph), labels)
+        g = graphs.delete_vertices(_read_json(args.graph, Graph.from_json_dict),
+                                   labels)
     else:
         if args.n is None:
             raise PebbleError(f"family {args.family} needs --n")
-        names = {"path": "path", "cycle": "cycle", "complete": "complete",
-                 "middle-path": "m-path", "m-path": "m-path",
-                 "middle-cycle": "m-cycle", "m-cycle": "m-cycle",
-                 "m-path-trimmed": "m-path-trimmed"}
-        if args.family not in names:
-            raise PebbleError(f"unknown family {args.family!r}")
-        g = graph_from_spec(f"{names[args.family]}:{args.n}")
+        g = graph_from_spec(f"{args.family}:{args.n}")
     text = g.to_json(indent=2)
     if args.out:
         with open(args.out, "w") as fh:
@@ -111,12 +132,11 @@ def cmd_construct(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    g = _load_graph(args.graph)
+    g = _read_json(args.graph, Graph.from_json_dict)
     target = parse_label(args.target)
-    d = _load_dist(args.dist)
+    d = _read_json(args.dist, Distribution.from_json_dict)
     if args.replay:
-        with open(args.replay) as fh:
-            seq = MoveSequence.from_json_list(json.load(fh))
+        seq = _read_json(args.replay, MoveSequence.from_json_list)
         final = replay(g, d, seq)  # raises on an illegal move
         if final.get(target) >= args.t:
             print(f"verified: {len(seq)} moves leave "
@@ -125,11 +145,7 @@ def cmd_solve(args) -> int:
         print(f"replay legal but leaves only {final.get(target)} "
               f"pebble(s) on {target}, needed {args.t}")
         return EXIT_NEGATIVE
-    try:
-        outcome = is_solvable(g, d, target, args.t, _budget(args))
-    except BudgetExceeded as exc:
-        print(f"inconclusive: {exc}")
-        return EXIT_INCONCLUSIVE
+    outcome = is_solvable(g, d, target, args.t, _budget(args))
     if outcome.solvable:
         print(f"solvable: {len(outcome.witness)} moves "
               f"({outcome.nodes_explored} nodes explored)")
@@ -142,17 +158,13 @@ def cmd_solve(args) -> int:
 
 
 def cmd_pebbling_number(args) -> int:
-    g = _load_graph(args.graph)
+    g = _read_json(args.graph, Graph.from_json_dict)
     targets = None
     if args.targets:
         targets = [parse_label(s) for s in args.targets.split(",")]
     checkpoint = SweepCheckpoint(args.checkpoint) if args.checkpoint else None
-    try:
-        report = compute_pebbling(g, targets=targets, t=args.t,
-                                  budget=_budget(args), checkpoint=checkpoint)
-    except BudgetExceeded as exc:
-        print(f"inconclusive: {exc}")
-        return EXIT_INCONCLUSIVE
+    report = compute_pebbling(g, targets=targets, t=args.t,
+                              budget=_budget(args), checkpoint=checkpoint)
     scope = "restricted to given targets" if report.restricted_targets \
         else "over all targets"
     print(f"f_{args.t} = {report.value} ({scope}, "
@@ -183,40 +195,36 @@ def cmd_explain(args) -> int:
     if name is None:
         raise PebbleError(f"unknown strategy {args.strategy!r} "
                           f"(known: {', '.join(sorted(_STRATEGY_ALIASES))})")
-    g = _load_graph(args.graph)
-    d = _load_dist(args.dist)
+    g = _read_json(args.graph, Graph.from_json_dict)
+    d = _read_json(args.dist, Distribution.from_json_dict)
     target = parse_label(args.target)
     t = args.t
-    try:
-        if name == "collect":
-            # the graph itself must be a path; the context is the whole path
-            labels = sorted(g.vertices, key=lambda lab: lab.index)
-            ctx = strategies.PathContext(g, labels, d, labels.index(target) + 1)
-            rep = strategies.collect_on_path(ctx, t)
-        elif name == "middle-path":
-            n = (g.n + 3) // 2
-            if g != graphs.trimmed_middle_path(n):
-                raise PebbleError("graph is not a trimmed middle path")
-            if t != 1:
-                raise PebbleError("this strategy delivers a single pebble")
-            rep = strategies.middle_path_strategy(n, d, target)
-        elif name == "middle-cycle":
-            n = g.n // 4
-            if g.n % 4 or g != graphs.middle_cycle(n):
-                raise PebbleError("graph is not the middle graph of an even cycle")
-            rep = strategies.middle_cycle_t_strategy(n, d, target, t)
-        elif name == "product":
-            if t != 1:
-                raise PebbleError("this strategy delivers a single pebble")
-            rep = strategies.product_collection_strategy(g, d, target)
-        else:
-            rep = strategies.greedy_solver(g, d, target, t)
-    except (ValueError, AttributeError, PebbleError) as exc:
-        if isinstance(exc, PreconditionNotMet):
-            print(f"hypothesis not met: {exc}")
-            return EXIT_NEGATIVE
-        print(f"structural error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if t != 1 and name in ("middle-path", "product"):
+        raise PebbleError("this strategy delivers a single pebble")
+    if name == "collect":
+        # the graph itself must be a path on v_i labels; the context is the
+        # whole path, in the order of the labels
+        if not all(isinstance(lab, Original) for lab in g.vertices):
+            raise InvalidParameter("collect needs a path on original vertices v_i")
+        if target not in g:
+            raise UnknownVertex(f"no vertex labelled {target}")
+        labels = sorted(g.vertices, key=lambda lab: lab.index)
+        ctx = strategies.PathContext(g, labels, d, labels.index(target) + 1)
+        rep = strategies.collect_on_path(ctx, t)
+    elif name == "middle-path":
+        n = (g.n + 3) // 2
+        if g != graphs.trimmed_middle_path(n):
+            raise PebbleError("graph is not a trimmed middle path")
+        rep = strategies.middle_path_strategy(n, d, target)
+    elif name == "middle-cycle":
+        n = g.n // 4
+        if g.n % 4 or g != graphs.middle_cycle(n):
+            raise PebbleError("graph is not the middle graph of an even cycle")
+        rep = strategies.middle_cycle_t_strategy(n, d, target, t)
+    elif name == "product":
+        rep = strategies.product_collection_strategy(g, d, target)
+    else:
+        rep = strategies.greedy_solver(g, d, target, t)
     print(f"case: {rep.rationale}")
     for note in rep.notes:
         print(f"note: {note}")
@@ -230,26 +238,27 @@ def cmd_explain(args) -> int:
     return EXIT_OK if rep.succeeded else EXIT_NEGATIVE
 
 
-def _parse_range(text: Optional[str]) -> Optional[list[int]]:
-    if text is None:
-        return None
+def _parse_range(option: str, text: str) -> list[int]:
+    """The values of a range like 3..5 or a single value like 4."""
     lo, sep, hi = text.partition("..")
-    if sep:
-        return list(range(int(lo), int(hi) + 1))
-    return [int(lo)]
+    values = list(range(_int(lo, option), _int(hi if sep else lo, option) + 1))
+    if not values:
+        raise InvalidParameter(f"{option} range {text!r} is empty")
+    return values
 
 
+# CLI name -> registered claim name; the claim lists the parameters it needs
 _VERIFY_CLAIMS = {
-    "kn": ("complete_graph", ("n",)),
-    "pn": ("path_graph", ("n",)),
-    "cor24": ("cor24", ("n",)),
-    "lemma26": ("middle_even_cycle", ("n",)),
-    "middle-even-cycle": ("middle_even_cycle", ("n",)),
-    "cor27": ("cor27_bound", ("n", "t")),
-    "cor31": ("cor31_bound", ("n", "t")),
-    "product-bound": ("product_bound", ("n", "m")),
-    "ineq21": ("ineq21", ("m", "n")),
-    "ineq22": ("ineq22", ("m",)),
+    "kn": "complete_graph",
+    "pn": "path_graph",
+    "cor24": "cor24",
+    "lemma26": "middle_even_cycle",
+    "middle-even-cycle": "middle_even_cycle",
+    "cor27": "cor27_bound",
+    "cor31": "cor31_bound",
+    "product-bound": "product_bound",
+    "ineq21": "ineq21",
+    "ineq22": "ineq22",
 }
 
 
@@ -263,18 +272,16 @@ def cmd_verify(args) -> int:
               f"(f_left={rep.f_left}, f_right={rep.f_right}, f_product={rep.f_product})")
         return {"holds": EXIT_OK, "violated": EXIT_NEGATIVE}.get(
             rep.verdict, EXIT_INCONCLUSIVE)
-    entry = _VERIFY_CLAIMS.get(args.claim)
-    if entry is None:
+    name = _VERIFY_CLAIMS.get(args.claim)
+    if name is None:
         raise PebbleError(f"unknown claim {args.claim!r} "
                           f"(known: graham, {', '.join(sorted(_VERIFY_CLAIMS))})")
-    name, param_names = entry
-    ranges = {"n": _parse_range(args.n), "m": _parse_range(args.m),
-              "t": _parse_range(args.t)}
     points = [{}]
-    for pname in param_names:
-        values = ranges.get(pname)
-        if values is None:
+    for pname in registry.CLAIMS[name].params:
+        text = getattr(args, pname)
+        if text is None:
             raise PebbleError(f"claim {args.claim} needs --{pname}")
+        values = _parse_range(f"--{pname}", text)
         points = [dict(pt, **{pname: v}) for pt in points for v in values]
     ledger = registry.ClaimLedger(args.ledger) if args.ledger else None
     records = registry.check_claim(name, points, _budget(args), ledger)
@@ -303,8 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a named graph family")
-    p.add_argument("family", help="path | cycle | complete | middle-path | "
-                                  "middle-cycle | m-path-trimmed | product | delete")
+    p.add_argument("family", help=" | ".join([*FAMILIES, "product", "delete"]))
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--left", default=None, help="product factor, e.g. m-cycle:2")
     p.add_argument("--right", default=None)
@@ -371,10 +377,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
+    except BudgetExceeded as exc:
+        print(f"inconclusive: {exc}")
+        return EXIT_INCONCLUSIVE
+    except PreconditionNotMet as exc:
+        print(f"hypothesis not met: {exc}")
+        return EXIT_NEGATIVE
     except (PebbleError, OSError, json.JSONDecodeError) as exc:
-        if isinstance(exc, PreconditionNotMet):
-            print(f"hypothesis not met: {exc}")
-            return EXIT_NEGATIVE
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -46,8 +46,8 @@ from itertools import groupby
 from math import comb
 from typing import Iterator, Optional, Sequence
 
-from .errors import (BudgetExceeded, DisconnectedGraph, InsufficientPebbles,
-                     InvalidParameter, NotAdjacent, UnknownVertex)
+from .errors import (BudgetExceeded, InsufficientPebbles, InvalidParameter,
+                     NotAdjacent, UnknownVertex)
 from .graphs import Graph, VertexLabel, parse_label, target_orbits
 
 # ---------------------------------------------------------------------------
@@ -81,11 +81,6 @@ class Distribution:
     @classmethod
     def from_vector(cls, g: Graph, vec: Sequence[int]) -> "Distribution":
         return cls({g.vertices[i]: int(c) for i, c in enumerate(vec) if c})
-
-    def adding(self, lab: VertexLabel, k: int = 1) -> "Distribution":
-        new = dict(self.counts)
-        new[lab] = new.get(lab, 0) + k
-        return Distribution(new)
 
     def to_json_dict(self) -> dict:
         return {"counts": {str(lab): c for lab, c in sorted(
@@ -392,16 +387,6 @@ def _solve_counts(g: Graph, counts: list[int], target: int, t: int,
     return False, None, nodes
 
 
-def _reach(g: Graph, ti: int) -> tuple[int, ...]:
-    """Distances from the target. Raises DisconnectedGraph when some vertex
-    is out of its reach: the search's shortcuts and the pebbling-number
-    bound both read a distance for every vertex."""
-    dist = g.distances_from(ti)
-    if min(dist) < 0:
-        raise DisconnectedGraph(f"target {g.vertices[ti]} does not reach every vertex")
-    return dist
-
-
 def _moves_to_sequence(g: Graph, moves: list[tuple[int, int]]) -> MoveSequence:
     verts = g.vertices
     return MoveSequence([Move(verts[a], verts[b]) for a, b in moves])
@@ -416,7 +401,6 @@ def is_solvable(g: Graph, d: Distribution, target: VertexLabel, t: int = 1,
     for lab in d.counts:
         if lab not in g:
             raise UnknownVertex(f"distribution mentions unknown vertex {lab}")
-    _reach(g, ti)
     ok, moves, nodes = _solve_counts(g, d.vector(g), ti, t, budget)
     witness = _moves_to_sequence(g, moves) if ok else None
     return SolveOutcome(ok, witness, nodes)
@@ -488,7 +472,6 @@ def sweep_level(g: Graph, k: int, target: VertexLabel, t: int = 1,
     if k < 0:
         raise InvalidParameter(f"k must be >= 0, got {k}")
     ti = g.index_of(target)
-    _reach(g, ti)
     count = comb(k + g.n - 1, g.n - 1)
     if budget is not None:
         budget.charge(count)
@@ -582,7 +565,7 @@ def _field_bits(g: Graph, ti: int, t: int) -> int:
     DP meets. With fewer than t pebbles on the target, a vertex holding
     t*2^ecc pebbles solves alone, so by pigeonhole every distribution of
     (n-1)(t*2^ecc - 1) + t pebbles is t-solvable and no level gets larger."""
-    dist = _reach(g, ti)
+    dist = g.distances_from(ti)
     return ((g.n - 1) * ((t << max(dist)) - 1) + t).bit_length()
 
 

@@ -1,7 +1,8 @@
 """Closed-form pebbling claims and the machinery to check them.
 
-Every claim stores a formula, its parameter domain, and a provenance tag
-naming where the formula comes from in the source text. A claim is only
+Every claim stores a formula (an inequality stores its exact check
+instead), its parameter domain, the regime its source proves it in, and a
+provenance tag naming where it comes from in the source text. A claim is only
 ever marked confirmed by an actual check run: exact-value claims are
 compared against the exhaustive solver, bound claims against the solver
 on the bounded quantity, inequality claims by exact integer or rational
@@ -15,7 +16,7 @@ import csv
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -61,6 +62,17 @@ def check_inequality_22(m: int) -> tuple[bool, int]:
     return value > 0, value
 
 
+def _ineq21_check(m: int, n: int) -> tuple[bool, str, dict]:
+    holds, lhs, rhs, _ = check_inequality_21(m, n)
+    detail = f"lhs {lhs} {'<' if holds else '>='} rhs {rhs}"
+    return holds, detail, {"lhs": lhs, "rhs": str(rhs)}
+
+
+def _ineq22_check(m: int) -> tuple[bool, str, dict]:
+    holds, value = check_inequality_22(m)
+    return holds, f"value {value}", {"value": value}
+
+
 # ---------------------------------------------------------------------------
 # Claims
 
@@ -69,20 +81,32 @@ def check_inequality_22(m: int) -> tuple[bool, int]:
 class FormulaClaim:
     """A named closed-form claim about a pebbling quantity.
 
-    kind "exact" means the formula equals the pebbling number; "upper-bound"
-    and "lower-bound" compare one-sidedly; "inequality" is pure arithmetic.
-    ``instantiate`` maps params to (graph, targets, t) for oracle checks;
-    ``targets`` None means all vertices.
+    The kinds are "exact" (the formula equals the pebbling number),
+    "upper-bound" (the pebbling number is at most the formula) and
+    "inequality". The first two are checked against the oracle on the
+    (graph, targets, t) that ``instantiate`` maps the params to; targets
+    None means all vertices. An inequality is pure arithmetic: ``check``
+    maps the params to (holds, detail, evidence), and there is no formula.
+    ``hypothesis`` says whether a point lies where the source proves the
+    claim; a point outside it is still checked, and its record is flagged.
     """
 
     name: str
     kind: str
     params: tuple[str, ...]
-    formula: Callable[..., int]
     provenance: str
-    domain: Callable[..., bool] = lambda **kw: True
+    domain: Callable[..., bool]
+    formula: Optional[Callable[..., int]] = None
     instantiate: Optional[Callable[..., tuple[Graph, Optional[list], int]]] = None
+    check: Optional[Callable[..., tuple[bool, str, dict]]] = None
+    hypothesis: Callable[..., bool] = lambda **kw: True
     note: str = ""
+
+    def __post_init__(self):
+        if (self.kind not in ("exact", "upper-bound", "inequality")
+                or (self.kind == "inequality") != (self.check is not None)):
+            raise InvalidParameter(f"claim {self.name}: kind {self.kind!r} "
+                                   "does not fit its fields")
 
 
 def _claim_list() -> list[FormulaClaim]:
@@ -157,23 +181,26 @@ def _claim_list() -> list[FormulaClaim]:
             domain=lambda n, m: n >= 2 and m >= 2,
             instantiate=lambda n, m: (
                 cartesian_product(middle_cycle(n), middle_cycle(m)), None, 1),
+            hypothesis=lambda n, m: product_hypothesis(m, n),
             note="proven for n, m >= 5 with |n - m| >= 2; other points are out of hypothesis",
         ),
         FormulaClaim(
             name="ineq21",
             kind="inequality",
             params=("m", "n"),
-            formula=lambda m, n: 0,
             provenance="Eq. (2.1)",
             domain=lambda m, n: m >= 1 and n >= 1,
+            check=_ineq21_check,
+            hypothesis=product_hypothesis,
         ),
         FormulaClaim(
             name="ineq22",
             kind="inequality",
             params=("m",),
-            formula=lambda m: 0,
             provenance="Eq. (2.2)",
             domain=lambda m: m >= 1,
+            check=_ineq22_check,
+            hypothesis=lambda m: m >= 5,
         ),
     ]
 
@@ -214,16 +241,7 @@ class CheckRecord:
         return hashlib.sha256(payload.encode()).hexdigest()
 
     def to_json_dict(self) -> dict:
-        return {
-            "claim": self.claim,
-            "params": self.params,
-            "status": self.status,
-            "detail": self.detail,
-            "hypothesis_ok": self.hypothesis_ok,
-            "evidence": self.evidence,
-            "evidence_hash": self.evidence_hash,
-            "timestamp": self.timestamp,
-        }
+        return {**asdict(self), "evidence_hash": self.evidence_hash}
 
 
 class ClaimLedger:
@@ -256,22 +274,13 @@ def _check_point(claim: FormulaClaim, params: dict,
     if not claim.domain(**params):
         return CheckRecord(claim.name, params, "unchecked",
                            f"outside the claim's domain")
+    hyp = claim.hypothesis(**params)
     if claim.kind == "inequality":
-        if claim.name == "ineq21":
-            holds, lhs, rhs, hyp = check_inequality_21(**params)
-            status = "confirmed" if holds else "refuted"
-            return CheckRecord(claim.name, params, status,
-                               f"lhs {lhs} {'<' if holds else '>='} rhs {rhs}",
-                               {"lhs": lhs, "rhs": str(rhs)}, hyp)
-        holds, value = check_inequality_22(**params)
-        status = "confirmed" if holds else "refuted"
-        return CheckRecord(claim.name, params, status, f"value {value}",
-                           {"value": value}, params["m"] >= 5)
+        holds, detail, evidence = claim.check(**params)
+        return CheckRecord(claim.name, params, "confirmed" if holds else "refuted",
+                           detail, evidence, hyp)
     expected = claim.formula(**params)
     g, targets, t = claim.instantiate(**params)
-    hyp = True
-    if claim.name == "product_bound":
-        hyp = product_hypothesis(params["m"], params["n"])
     try:
         report = compute_pebbling(g, targets=targets, t=t, budget=budget)
     except BudgetExceeded as exc:
@@ -285,12 +294,9 @@ def _check_point(claim: FormulaClaim, params: dict,
     if claim.kind == "exact":
         ok = oracle == expected
         detail = f"oracle {oracle} {'==' if ok else '!='} formula {expected}"
-    elif claim.kind == "upper-bound":
+    else:
         ok = oracle <= expected
         detail = f"oracle {oracle} {'<=' if ok else '>'} bound {expected}"
-    else:
-        ok = oracle >= expected
-        detail = f"oracle {oracle} {'>=' if ok else '<'} bound {expected}"
     return CheckRecord(claim.name, params, "confirmed" if ok else "refuted",
                        detail, evidence, hyp)
 

@@ -178,7 +178,8 @@ def test_criterion_6_property_suite():
         if out.solvable:
             if replay(g, d, out.witness).get(tgt) < 1:
                 ok = False
-            richer = d.adding(g.vertices[rng.randrange(g.n)])
+            lab = g.vertices[rng.randrange(g.n)]
+            richer = Distribution({**d.counts, lab: d.get(lab) + 1})
             if not is_solvable(g, richer, tgt).solvable:
                 ok = False
     # threshold property: random path instances meeting the two-sided

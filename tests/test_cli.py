@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from pebblekit.cli import EXIT_USAGE, main
-from pebblekit.graphs import Graph, Original, cartesian_product, middle_cycle
+from pebblekit.cli import EXIT_USAGE, FAMILIES, graph_from_spec, main
+from pebblekit.graphs import (Graph, Original, cartesian_product, middle_cycle,
+                              path)
 
 
 def run(argv):
@@ -43,6 +44,14 @@ def test_construct_bad_param():
 
 def test_construct_unknown_family():
     assert run(["construct", "moebius", "--n", "3"]) == 3
+
+
+def test_construct_and_specs_share_the_family_names(tmp_path):
+    for name in FAMILIES:
+        out = tmp_path / f"{name}.json"
+        assert run(["construct", name, "--n", "3", "--out", str(out)]) == 0
+        assert Graph.from_json(out.read_text()) == graph_from_spec(f"{name}:3")
+    assert graph_from_spec("middle-cycle:2") == graph_from_spec("m-cycle:2")
 
 
 def test_construct_dot(tmp_path):
@@ -144,12 +153,16 @@ def test_explain_collect_threshold(tmp_path, capsys):
     assert "delivered 1" in capsys.readouterr().out
 
 
-def test_explain_structural_error(tmp_path):
+def test_explain_structural_error(tmp_path, mc4):
     g = tmp_path / "p4.json"
     assert run(["construct", "path", "--n", "4", "--out", str(g)]) == 0
     d = dist_file(tmp_path, {"v1": 8})
     assert run(["explain", "--strategy", "middle-cycle", "--graph", str(g),
                 "--dist", str(d), "--target", "v4"]) == 3
+    # collect needs a path on v_i labels; M(C4) has edge vertices
+    d = dist_file(tmp_path, {"v2": 8}, "d2.json")
+    assert run(["explain", "--strategy", "collect", "--graph", str(mc4),
+                "--dist", str(d), "--target", "v0"]) == 3
 
 
 def test_explain_hypothesis_not_met(mc4, tmp_path, capsys):
@@ -224,6 +237,44 @@ def test_verify_unknown_claim():
 
 def test_verify_missing_range():
     assert run(["verify", "cor24"]) == 3
+
+
+@pytest.mark.parametrize("argv", [["cor24", "--n", "5..3"],
+                                  ["ineq22", "--m", "4..3"]])
+def test_verify_empty_range_is_a_usage_error(argv, capsys):
+    assert run(["verify", *argv]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+GOOD_GRAPH = path(2).to_json()
+GOOD_DIST = json.dumps({"counts": {"v1": 2}})
+SOLVE = ["solve", "--graph", "{g}", "--dist", "{d}", "--target", "v2"]
+
+
+@pytest.mark.parametrize("files, bad, argv", [
+    ({"g": '{"vertices": ["v1", "v2"]}', "d": GOOD_DIST}, "g", SOLVE),
+    ({"g": '{"vertices": ["v1", "v2"], "edges": [[0]]}', "d": GOOD_DIST},
+     "g", SOLVE),
+    ({"g": GOOD_GRAPH, "d": "{}"}, "d", SOLVE),
+    ({"g": GOOD_GRAPH, "d": '{"counts": {"v1": "x"}}'}, "d", SOLVE),
+    ({"g": GOOD_GRAPH, "d": GOOD_DIST, "w": '[["v1"]]'}, "w",
+     SOLVE + ["--replay", "{w}"]),
+    ({}, None, ["verify", "cor24", "--n", "abc"]),
+    ({}, None, ["verify", "graham", "--left", "path:x", "--right", "path:2"]),
+], ids=["graph-without-edges", "one-element-edge", "dist-without-counts",
+        "non-integer-count", "one-element-move", "non-integer-range",
+        "non-integer-family-parameter"])
+def test_malformed_input_is_a_usage_error(tmp_path, capsys, files, bad, argv):
+    paths = {}
+    for key, text in files.items():
+        paths[key] = str(tmp_path / f"{key}.json")
+        (tmp_path / f"{key}.json").write_text(text)
+    assert run([arg.format(**paths) for arg in argv]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    if bad is not None:
+        assert paths[bad] in captured.err
 
 
 def test_checkpoint_only_on_pebbling_number(tmp_path, mc4):

@@ -18,12 +18,11 @@ from pebblekit.engine import (Budget, Distribution, Move, MoveSequence,
                               pebbling_number_vertex, potential, replay,
                               sweep_level, t_pebbling_number,
                               weak_compositions)
-from pebblekit.errors import (BudgetExceeded, DisconnectedGraph,
-                              InsufficientPebbles, InvalidParameter,
-                              NotAdjacent, UnknownVertex)
-from pebblekit.graphs import (Graph, Original, Pair, cartesian_product,
-                              complete, cycle, cycle_u, middle_cycle, path,
-                              path_u, trimmed_middle_path)
+from pebblekit.errors import (BudgetExceeded, InsufficientPebbles,
+                              InvalidParameter, NotAdjacent, UnknownVertex)
+from pebblekit.graphs import (Original, Pair, cartesian_product, complete,
+                              cycle, cycle_u, middle_cycle, path, path_u,
+                              trimmed_middle_path)
 from pebblekit.strategies import cor24_witness
 
 from conftest import asymmetric_graph, petersen
@@ -438,21 +437,6 @@ def test_pebbling_number_vertex():
     assert pebbling_number_vertex(g, Original(4)) == 8
     # {v1:1, v4:3} is stuck for v2, so 4 pebbles are not enough
     assert pebbling_number_vertex(g, Original(2)) == 5
-
-
-def test_pebbling_number_of_disconnected_graph_raises():
-    g = Graph([Original(1), Original(2)], [], require_connected=False)
-    with pytest.raises(DisconnectedGraph):
-        compute_pebbling(g)
-
-
-def test_target_out_of_reach_raises():
-    g = Graph([Original(1), Original(2)], [], require_connected=False)
-    d = Distribution({Original(2): 5})
-    with pytest.raises(DisconnectedGraph):
-        is_solvable(g, d, Original(1))
-    with pytest.raises(DisconnectedGraph):
-        sweep_level(g, 5, Original(1))
 
 
 def test_t_pebbling_counts_beyond_a_byte():

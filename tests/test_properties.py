@@ -69,7 +69,8 @@ def test_solvability_monotone_under_addition(case, where):
     g, d, target = case
     if not is_solvable(g, d, target).solvable:
         return
-    richer = d.adding(g.vertices[where % g.n])
+    lab = g.vertices[where % g.n]
+    richer = Distribution({**d.counts, lab: d.get(lab) + 1})
     assert is_solvable(g, richer, target).solvable
 
 

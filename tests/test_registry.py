@@ -124,8 +124,29 @@ def test_check_inequality_claims_via_registry():
     recs = check_claim("ineq22", [{"m": 4}, {"m": 5}])
     assert [r.status for r in recs] == ["refuted", "confirmed"]
     assert not recs[0].hypothesis_ok and recs[1].hypothesis_ok
-    recs = check_claim("ineq21", [{"m": 5, "n": 7}])
-    assert recs[0].status == "confirmed"
+    assert recs[0].evidence == {"value": -15}
+    recs = check_claim("ineq21", [{"m": 5, "n": 7}, {"m": 5, "n": 6}])
+    assert [r.status for r in recs] == ["confirmed", "refuted"]
+    assert [r.hypothesis_ok for r in recs] == [True, False]
+    assert recs[0].evidence == {"lhs": 64, "rhs": "487/7"}
+
+
+def test_check_claim_flags_product_bound_out_of_hypothesis():
+    (rec,) = check_claim("product_bound", [{"n": 2, "m": 2}],
+                         budget=Budget(node_cap=1))
+    assert rec.status == "inconclusive"
+    assert rec.hypothesis_ok is False
+
+
+def test_claim_kind_must_fit_its_fields():
+    oracle = dict(params=("n",), provenance="test", domain=lambda n: True,
+                  formula=lambda n: n, instantiate=lambda n: (path(n), None, 1))
+    FormulaClaim(name="ok", kind="upper-bound", **oracle)
+    with pytest.raises(InvalidParameter):
+        FormulaClaim(name="lower", kind="lower-bound", **oracle)
+    with pytest.raises(InvalidParameter):
+        FormulaClaim(name="no_check", kind="inequality", params=("m",),
+                     provenance="test", domain=lambda m: True)
 
 
 # -- graham ------------------------------------------------------------------
