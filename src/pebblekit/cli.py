@@ -6,6 +6,10 @@ Exit codes are a stable scripting contract: 0 = solvable/confirmed/holds,
 parameter, or an input file that is missing, not JSON, or not of the
 expected shape. Commands return 0 or 1 for their own verdicts and raise
 for the rest; ``main`` is the one place that maps errors to exit codes.
+
+``construct`` has a subcommand per family in ``FAMILIES`` and ``verify`` one
+per claim in ``_VERIFY_CLAIMS``, each taking only the flags it reads, which
+go after the name: ``verify cor24 --n 3..5``.
 """
 
 from __future__ import annotations
@@ -26,14 +30,6 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
-
-
-def _add_budget_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget-nodes", type=int, default=None,
-                   help="cap on search nodes; pebbling-number charges one "
-                        "per DP candidate (default: env or 5e6)")
-    p.add_argument("--budget-seconds", type=float, default=None,
-                   help="wall-time cap in seconds")
 
 
 def _budget(args) -> Budget:
@@ -84,18 +80,15 @@ def graph_from_spec(spec: str) -> Graph:
 
 def _read_json(path: str, parse: Callable):
     """Read a graph, distribution or witness file: ``parse`` turns its JSON
-    into the object. A file that is JSON but not of the shape ``parse``
-    expects is an InvalidParameter naming the file."""
+    into the object. A file that is not JSON, or JSON not of the shape
+    ``parse`` expects, is an InvalidParameter naming the file."""
     with open(path) as fh:
-        data = json.load(fh)
-    try:
-        return parse(data)
-    except PebbleError:
-        raise
-    except (ArithmeticError, AttributeError, LookupError, TypeError,
-            ValueError) as exc:
-        raise InvalidParameter(f"malformed input file {path}: "
-                               f"{type(exc).__name__}: {exc}") from None
+        try:
+            return parse(json.load(fh))
+        except (PebbleError, ArithmeticError, AttributeError, LookupError,
+                TypeError, ValueError) as exc:
+            raise InvalidParameter(f"malformed input file {path}: "
+                                   f"{type(exc).__name__}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -104,20 +97,14 @@ def _read_json(path: str, parse: Callable):
 
 def cmd_construct(args) -> int:
     if args.family == "product":
-        if not args.left or not args.right:
-            raise PebbleError("product needs --left and --right family specs")
         g = graphs.cartesian_product(graph_from_spec(args.left),
                                      graph_from_spec(args.right))
     elif args.family == "delete":
-        if not args.graph or not args.delete:
-            raise PebbleError("delete needs --graph and --delete labels")
         labels = [parse_label(s) for s in args.delete.split(",")]
         g = graphs.delete_vertices(_read_json(args.graph, Graph.from_json_dict),
                                    labels)
     else:
-        if args.n is None:
-            raise PebbleError(f"family {args.family} needs --n")
-        g = graph_from_spec(f"{args.family}:{args.n}")
+        g = FAMILIES[args.family](args.n)
     text = g.to_json(indent=2)
     if args.out:
         with open(args.out, "w") as fh:
@@ -159,14 +146,11 @@ def cmd_solve(args) -> int:
 
 def cmd_pebbling_number(args) -> int:
     g = _read_json(args.graph, Graph.from_json_dict)
-    targets = None
-    if args.targets:
-        targets = [parse_label(s) for s in args.targets.split(",")]
+    targets = [parse_label(s) for s in args.targets.split(",")] if args.targets else None
     checkpoint = SweepCheckpoint(args.checkpoint) if args.checkpoint else None
     report = compute_pebbling(g, targets=targets, t=args.t,
                               budget=_budget(args), checkpoint=checkpoint)
-    scope = "restricted to given targets" if report.restricted_targets \
-        else "over all targets"
+    scope = "restricted to given targets" if targets else "over all targets"
     print(f"f_{args.t} = {report.value} ({scope}, "
           f"{report.distributions_checked} distributions checked, "
           f"max |U_k| = {report.max_level}, "
@@ -191,10 +175,7 @@ _STRATEGY_ALIASES = {
 
 
 def cmd_explain(args) -> int:
-    name = _STRATEGY_ALIASES.get(args.strategy)
-    if name is None:
-        raise PebbleError(f"unknown strategy {args.strategy!r} "
-                          f"(known: {', '.join(sorted(_STRATEGY_ALIASES))})")
+    name = _STRATEGY_ALIASES[args.strategy]
     g = _read_json(args.graph, Graph.from_json_dict)
     d = _read_json(args.dist, Distribution.from_json_dict)
     target = parse_label(args.target)
@@ -263,33 +244,20 @@ _VERIFY_CLAIMS = {
 
 
 def cmd_verify(args) -> int:
-    if args.claim == "graham":
-        if not args.left or not args.right:
-            raise PebbleError("graham needs --left and --right family specs")
-        rep = registry.check_graham(graph_from_spec(args.left),
-                                    graph_from_spec(args.right), _budget(args))
-        print(f"graham: {rep.verdict} "
-              f"(f_left={rep.f_left}, f_right={rep.f_right}, f_product={rep.f_product})")
-        return {"holds": EXIT_OK, "violated": EXIT_NEGATIVE}.get(
-            rep.verdict, EXIT_INCONCLUSIVE)
-    name = _VERIFY_CLAIMS.get(args.claim)
-    if name is None:
-        raise PebbleError(f"unknown claim {args.claim!r} "
-                          f"(known: graham, {', '.join(sorted(_VERIFY_CLAIMS))})")
+    ledger = registry.ClaimLedger(args.ledger) if args.ledger else None
+    if args.csv and ledger is None:
+        raise InvalidParameter("--csv summarizes the ledger, so it needs --ledger")
+    name = _VERIFY_CLAIMS[args.claim]
     points = [{}]
     for pname in registry.CLAIMS[name].params:
-        text = getattr(args, pname)
-        if text is None:
-            raise PebbleError(f"claim {args.claim} needs --{pname}")
-        values = _parse_range(f"--{pname}", text)
+        values = _parse_range(f"--{pname}", getattr(args, pname))
         points = [dict(pt, **{pname: v}) for pt in points for v in values]
-    ledger = registry.ClaimLedger(args.ledger) if args.ledger else None
     records = registry.check_claim(name, points, _budget(args), ledger)
     for rec in records:
         flag = "" if rec.hypothesis_ok else "  [out of hypothesis]"
         print(f"{rec.claim} {json.dumps(rec.params, sort_keys=True)}: "
               f"{rec.status} ({rec.detail}){flag}")
-    if ledger and args.csv:
+    if args.csv:
         ledger.write_csv(args.csv)
     statuses = {rec.status for rec in records}
     if "refuted" in statuses:
@@ -297,6 +265,15 @@ def cmd_verify(args) -> int:
     if "inconclusive" in statuses or "unchecked" in statuses:
         return EXIT_INCONCLUSIVE
     return EXIT_OK
+
+
+def cmd_graham(args) -> int:
+    rep = registry.check_graham(graph_from_spec(args.left),
+                                graph_from_spec(args.right), _budget(args))
+    print(f"graham: {rep.verdict} "
+          f"(f_left={rep.f_left}, f_right={rep.f_right}, f_product={rep.f_product})")
+    return {"holds": EXIT_OK, "violated": EXIT_NEGATIVE}.get(
+        rep.verdict, EXIT_INCONCLUSIVE)
 
 
 # ---------------------------------------------------------------------------
@@ -308,63 +285,70 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact graph pebbling: constructions, solving, "
                     "strategies, formula verification.")
     sub = parser.add_subparsers(dest="command", required=True)
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--budget-nodes", type=int,
+                        help="cap on search nodes; pebbling-number charges one "
+                             "per DP candidate (default: env or 5e6)")
+    budget.add_argument("--budget-seconds", type=float, help="wall-time cap in seconds")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write graph JSON here")
+    out.add_argument("--dot", help="also write DOT here")
+    query = argparse.ArgumentParser(add_help=False)
+    for flag in ("--graph", "--dist", "--target"):
+        query.add_argument(flag, required=True)
+    query.add_argument("--t", type=int, default=1)
 
     p = sub.add_parser("construct", help="build a named graph family")
-    p.add_argument("family", help=" | ".join([*FAMILIES, "product", "delete"]))
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--left", default=None, help="product factor, e.g. m-cycle:2")
-    p.add_argument("--right", default=None)
-    p.add_argument("--graph", default=None, help="input graph for delete")
-    p.add_argument("--delete", default=None, help="comma-separated labels to delete")
-    p.add_argument("--out", default=None, help="write graph JSON here")
-    p.add_argument("--dot", default=None, help="also write DOT here")
+    families = p.add_subparsers(dest="family", required=True)
     p.set_defaults(func=cmd_construct)
+    for name in FAMILIES:
+        families.add_parser(name, parents=[out]).add_argument("--n", type=int, required=True)
+    q = families.add_parser("product", parents=[out],
+                            help="Cartesian product of two family specs")
+    q.add_argument("--left", required=True, help="family spec, e.g. m-cycle:2")
+    q.add_argument("--right", required=True)
+    q = families.add_parser("delete", parents=[out],
+                            help="delete vertices from a graph file")
+    q.add_argument("--graph", required=True)
+    q.add_argument("--delete", required=True, help="comma-separated labels")
 
-    p = sub.add_parser("solve", help="decide t-solvability for a target")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--dist", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--t", type=int, default=1)
-    p.add_argument("--witness-out", default=None)
-    p.add_argument("--replay", default=None,
-                   help="validate this witness file instead of searching")
-    _add_budget_flags(p)
+    p = sub.add_parser("solve", parents=[query, budget],
+                       help="decide t-solvability for a target")
+    either = p.add_mutually_exclusive_group()
+    either.add_argument("--witness-out")
+    either.add_argument("--replay", help="validate this witness file instead of searching")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("pebbling-number", help="exact (t-)pebbling number")
+    p = sub.add_parser("pebbling-number", parents=[budget],
+                       help="exact (t-)pebbling number")
     p.add_argument("--graph", required=True)
-    p.add_argument("--targets", default=None,
-                   help="comma-separated labels (default: all vertices)")
+    p.add_argument("--targets", help="comma-separated labels (default: all vertices)")
     p.add_argument("--t", type=int, default=1)
-    p.add_argument("--witness-out", default=None)
-    p.add_argument("--checkpoint", default=None,
-                   help="resume file: keeps the last completed level of "
-                        "unsolvable distributions per target, and a rerun "
-                        "continues from it")
-    _add_budget_flags(p)
+    p.add_argument("--witness-out")
+    p.add_argument("--checkpoint", help="resume file: keeps the last completed DP level "
+                                        "per target, and a rerun continues from it")
     p.set_defaults(func=cmd_pebbling_number)
 
-    p = sub.add_parser("explain", help="run a constructive strategy and narrate it")
-    p.add_argument("--strategy", required=True,
-                   help="collect | middle-path | middle-cycle | product | greedy")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--dist", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--t", type=int, default=1)
-    p.add_argument("--witness-out", default=None)
+    p = sub.add_parser("explain", parents=[query],
+                       help="run a constructive strategy and narrate it")
+    p.add_argument("--strategy", required=True, choices=_STRATEGY_ALIASES)
+    p.add_argument("--witness-out")
     p.set_defaults(func=cmd_explain)
 
     p = sub.add_parser("verify", help="check a registered claim over a range")
-    p.add_argument("claim")
-    p.add_argument("--n", default=None, help="range like 3..5 or a single value")
-    p.add_argument("--m", default=None)
-    p.add_argument("--t", default=None)
-    p.add_argument("--left", default=None, help="graham factor spec")
-    p.add_argument("--right", default=None)
-    p.add_argument("--ledger", default=None, help="append JSONL records here")
-    p.add_argument("--csv", default=None, help="write a CSV summary here")
-    _add_budget_flags(p)
-    p.set_defaults(func=cmd_verify)
+    claims = p.add_subparsers(dest="claim", required=True)
+    for cli_name, name in _VERIFY_CLAIMS.items():
+        q = claims.add_parser(cli_name, parents=[budget])
+        for pname in registry.CLAIMS[name].params:
+            q.add_argument(f"--{pname}", required=True, help="a value or a range like 3..5")
+        q.add_argument("--ledger", help="append JSONL records here")
+        q.add_argument("--csv", help="write a CSV summary of the ledger here")
+        q.set_defaults(func=cmd_verify)
+    q = claims.add_parser("graham", parents=[budget],
+                          help="f(G x H) <= f(G) f(H) for two family specs")
+    q.add_argument("--left", required=True, help="family spec, e.g. path:3")
+    q.add_argument("--right", required=True)
+    q.set_defaults(func=cmd_graham)
 
     return parser
 

@@ -43,7 +43,6 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
-from math import comb
 from typing import Iterator, Optional, Sequence
 
 from .errors import (BudgetExceeded, InsufficientPebbles, InvalidParameter,
@@ -88,7 +87,10 @@ class Distribution:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Distribution":
-        return cls({parse_label(s): int(c) for s, c in data["counts"].items()})
+        counts = data["counts"]
+        if not all(type(c) is int for c in counts.values()):  # not 1.7, "2", true
+            raise InvalidParameter(f"pebble counts must be integers: {json.dumps(counts)}")
+        return cls({parse_label(s): c for s, c in counts.items()})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Distribution) and self.counts == other.counts
@@ -457,34 +459,34 @@ class SweepResult:
     checked: int
 
 
-def sweep_level(g: Graph, k: int, target: VertexLabel, t: int = 1,
-                budget: Optional[Budget] = None) -> SweepResult:
+def sweep_level(g: Graph, k: int, target: VertexLabel, t: int = 1) -> SweepResult:
     """Decide whether every distribution of size k is t-solvable for target.
 
     Walks the level's weak compositions in colex order and solves each row.
     The first unsolvable row is the counterexample, and ``checked`` is its
-    1-based position (the level size when every row is solvable). The
-    budget is charged the whole level up front, and the solver's nodes on
-    top. Pebbling numbers come from the down-set DP; this is its reference.
+    1-based position (the level size when every row is solvable).
+    Pebbling numbers come from the down-set DP; this is its reference.
     """
     if t < 1:
         raise InvalidParameter(f"t must be >= 1, got {t}")
     if k < 0:
         raise InvalidParameter(f"k must be >= 0, got {k}")
     ti = g.index_of(target)
-    count = comb(k + g.n - 1, g.n - 1)
-    if budget is not None:
-        budget.charge(count)
     for checked, vec in enumerate(weak_compositions(k, g.n), 1):
-        if not _solve_counts(g, list(vec), ti, t, budget)[0]:
+        if not _solve_counts(g, list(vec), ti, t, None)[0]:
             return SweepResult(False, Distribution.from_vector(g, vec), checked)
-    return SweepResult(True, None, count)
+    return SweepResult(True, None, checked)
 
 
 class SweepCheckpoint:
     """Resumable progress of ``compute_pebbling``, persisted as one JSON
     file: per graph hash, target and t, the last completed non-empty level
     of unsolvable distributions, so a resumed run continues from there.
+
+    A loaded level must be as ``save_level`` wrote it, each member holding
+    k pebbles with fewer than t on the target, or an InvalidParameter names
+    the file. A level with members deleted cannot be detected and may give
+    too small a value: a resumed value rests on the file.
     """
 
     def __init__(self, path: str):
@@ -505,13 +507,32 @@ class SweepCheckpoint:
             json.dump(self._load(), fh)
         os.replace(tmp, self.path)
 
-    def load_level(self, key: str, bits: int) -> Optional[tuple[int, set[int], int, int]]:
+    def load_level(self, key: str, bits: int, n: int, ti: int,
+                   t: int) -> Optional[tuple[int, set[int], int, int]]:
         """(k, packed U_k, candidates checked so far, largest level so far)
-        saved under key, if any."""
-        entry = self._load().get("levels", {}).get(key)
-        if entry is None or entry["bits"] != bits or "max_level" not in entry:
+        saved under key for n vertices and target index ti, if any."""
+        data = self._load()
+        levels = data.get("levels", {}) if isinstance(data, dict) else None
+        if not isinstance(levels, dict):
+            raise InvalidParameter(f"checkpoint {self.path} has no map of levels")
+        entry = levels.get(key)
+        if entry is None:
             return None
-        return entry["k"], set(entry["unsolvable"]), entry["candidates"], entry["max_level"]
+        if not (isinstance(entry, dict) and entry.get("bits") == bits
+                and all(type(entry.get(f)) is int and entry[f] >= 0
+                        for f in ("k", "candidates", "max_level"))
+                and isinstance(entry.get("unsolvable"), list) and entry["unsolvable"]):
+            raise InvalidParameter(f"checkpoint {self.path}: no saved level "
+                                   f"of the expected shape under {key}")
+        k, mask = entry["k"], (1 << bits) - 1
+        for c in entry["unsolvable"]:
+            # c >> bits * n is -1 for a negative c
+            if not (type(c) is int and c >> bits * n == 0 and (c >> bits * ti) & mask < t
+                    and sum((c >> bits * v) & mask for v in range(n)) == k):
+                raise InvalidParameter(
+                    f"checkpoint {self.path}: entry {key} holds {c!r}, not a "
+                    f"distribution of {k} pebbles with fewer than {t} on the target")
+        return k, set(entry["unsolvable"]), entry["candidates"], entry["max_level"]
 
     def save_level(self, key: str, bits: int, k: int, level: set[int],
                    candidates: int, max_level: int) -> None:
@@ -532,11 +553,9 @@ def graph_hash(g: Graph) -> str:
 @dataclass
 class PebblingReport:
     value: int
-    t: int
     per_target: dict[VertexLabel, int]
     witness: Optional[tuple[Distribution, VertexLabel]]  # unsolvable at size value-1
     distributions_checked: int = 0
-    restricted_targets: bool = False
     dp_targets: list[VertexLabel] = field(default_factory=list)  # one per orbit
     max_level: int = 0  # largest |U_k| over the dp_targets' DPs
 
@@ -599,7 +618,7 @@ def _downset_dp(g: Graph, ti: int, t: int, budget: Optional[Budget],
     key = f"{graph_hash(g)}:{ti}:{t}"
     k, prev, checked, widest = 0, {0}, 0, 1  # U_0: the empty distribution
     if checkpoint is not None:
-        k, prev, checked, widest = (checkpoint.load_level(key, bits)
+        k, prev, checked, widest = (checkpoint.load_level(key, bits, n, ti, t)
                                     or (k, prev, checked, widest))
 
     def stuck(c: int) -> bool:
@@ -652,7 +671,6 @@ def compute_pebbling(g: Graph, targets: Optional[Sequence[VertexLabel]] = None,
         raise InvalidParameter(f"t must be >= 1, got {t}")
     if targets is not None and not targets:
         raise InvalidParameter("targets is empty; pass None for all vertices")
-    restricted = targets is not None
     target_list = list(targets) if targets is not None else list(g.vertices)
     indices = [g.index_of(lab) for lab in target_list]
     orbits = target_orbits(g, indices)
@@ -674,7 +692,7 @@ def compute_pebbling(g: Graph, targets: Optional[Sequence[VertexLabel]] = None,
                 best_value = value
                 best_witness = (Distribution.from_vector(g, vec), lab)
         per_target[lab] = values[rep]
-    return PebblingReport(best_value, t, per_target, best_witness, checked, restricted,
+    return PebblingReport(best_value, per_target, best_witness, checked,
                           dp_targets, max_level)
 
 

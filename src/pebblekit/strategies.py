@@ -380,14 +380,10 @@ def _mc_u_spine(n: int, counts: list[int], t: int,
     side_b = [u[i] for i in range(n, two_n)] + [u[0]]
     w_a = sum(counts[u[i]] << (n - i) for i in range(1, n + 1))
     w_b = sum(counts[u[i]] << (i - n) for i in range(n, two_n))
-    # the two side weights sum to at least twice the spine pile, so the
-    # heavier one always meets the collection threshold; the other is a
-    # fallback in case of a tie broken the wrong way
-    first, second = (side_a, side_b) if w_a >= w_b else (side_b, side_a)
-    try:
-        _collect_indices(counts, first, len(first), need, moves)
-    except PreconditionNotMet:
-        _collect_indices(counts, second, len(second), need, moves)
+    # w_a and w_b are the chain weights _collect_indices tests against
+    # need << n, so when the heavier side fails the lighter one fails too
+    side = side_a if w_a >= w_b else side_b
+    _collect_indices(counts, side, len(side), need, moves)
     return "u-target:spine"
 
 

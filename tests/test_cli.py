@@ -1,10 +1,13 @@
+import argparse
 import json
 
 import pytest
 
-from pebblekit.cli import EXIT_USAGE, FAMILIES, graph_from_spec, main
+from pebblekit.cli import (_VERIFY_CLAIMS, EXIT_USAGE, FAMILIES, build_parser,
+                           graph_from_spec, main)
 from pebblekit.graphs import (Graph, Original, cartesian_product, middle_cycle,
                               path)
+from pebblekit.registry import CLAIMS
 
 
 def run(argv):
@@ -258,12 +261,16 @@ SOLVE = ["solve", "--graph", "{g}", "--dist", "{d}", "--target", "v2"]
      "g", SOLVE),
     ({"g": GOOD_GRAPH, "d": "{}"}, "d", SOLVE),
     ({"g": GOOD_GRAPH, "d": '{"counts": {"v1": "x"}}'}, "d", SOLVE),
+    ({"g": GOOD_GRAPH, "d": '{"counts": {"v1": 1.7}}'}, "d", SOLVE),
+    ({"g": GOOD_GRAPH, "d": '{"counts": {"v1": true}}'}, "d", SOLVE),
+    ({"g": GOOD_GRAPH, "d": "{bad"}, "d", SOLVE),
     ({"g": GOOD_GRAPH, "d": GOOD_DIST, "w": '[["v1"]]'}, "w",
      SOLVE + ["--replay", "{w}"]),
     ({}, None, ["verify", "cor24", "--n", "abc"]),
     ({}, None, ["verify", "graham", "--left", "path:x", "--right", "path:2"]),
 ], ids=["graph-without-edges", "one-element-edge", "dist-without-counts",
-        "non-integer-count", "one-element-move", "non-integer-range",
+        "non-integer-count", "fractional-count", "boolean-count", "not-json",
+        "one-element-move", "non-integer-range",
         "non-integer-family-parameter"])
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, files, bad, argv):
     paths = {}
@@ -275,6 +282,83 @@ def test_malformed_input_is_a_usage_error(tmp_path, capsys, files, bad, argv):
     assert captured.out == "" and captured.err.startswith("error: ")
     if bad is not None:
         assert paths[bad] in captured.err
+
+
+# each of these named a flag its command does not read, and exited 0
+@pytest.mark.parametrize("argv", [
+    ["verify", "cor24", "--n", "3", "--m", "abc"],
+    ["verify", "cor24", "--n", "3", "--left", "path:2"],
+    ["verify", "graham", "--left", "path:2", "--right", "path:2", "--n", "3"],
+    ["verify", "graham", "--left", "path:2", "--right", "path:2",
+     "--ledger", "L.jsonl"],
+    ["verify", "kn", "--n", "2", "--csv", "s.csv"],
+    ["construct", "path", "--n", "2", "--left", "junk", "--graph", "nofile",
+     "--out", "g.json"],
+    ["construct", "product", "--left", "path:2", "--right", "path:2",
+     "--n", "0", "--out", "g.json"],
+    SOLVE + ["--replay", "w.json", "--witness-out", "w2.json"],
+], ids=["verify-other-range", "verify-factor", "graham-range", "graham-ledger",
+        "csv-without-ledger", "family-with-product-and-delete-flags",
+        "product-with-n", "replay-and-witness-out"])
+def test_a_flag_the_command_does_not_read_is_a_usage_error(tmp_path, monkeypatch,
+                                                           argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.json").write_text(GOOD_GRAPH)
+    (tmp_path / "d.json").write_text(GOOD_DIST)
+    (tmp_path / "w.json").write_text('[["v1", "v2"]]')
+    before = {p: p.read_text() for p in tmp_path.iterdir()}
+    assert run([arg.format(g="g.json", d="d.json") for arg in argv]) == EXIT_USAGE
+    assert {p: p.read_text() for p in tmp_path.iterdir()} == before
+
+
+def _subcommands(parser):
+    (action,) = [a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def _flags(parser, required=False):
+    return {opt for a in parser._actions if a.required or not required
+            for opt in a.option_strings} - {"-h", "--help"}
+
+
+def test_construct_and_verify_subcommands_come_from_the_tables():
+    commands = _subcommands(build_parser())
+    construct = _subcommands(commands["construct"])
+    assert set(construct) == {*FAMILIES, "product", "delete"}
+    for name, required in [*((f, {"--n"}) for f in FAMILIES),
+                           ("product", {"--left", "--right"}),
+                           ("delete", {"--graph", "--delete"})]:
+        assert _flags(construct[name], required=True) == required
+        assert _flags(construct[name]) == required | {"--out", "--dot"}
+    verify = _subcommands(commands["verify"])
+    assert set(verify) == {*_VERIFY_CLAIMS, "graham"}
+    budget = {"--budget-nodes", "--budget-seconds"}
+    for cli_name, name in _VERIFY_CLAIMS.items():
+        params = {f"--{p}" for p in CLAIMS[name].params}
+        assert _flags(verify[cli_name], required=True) == params
+        assert _flags(verify[cli_name]) == params | budget | {"--ledger", "--csv"}
+    assert _flags(verify["graham"], required=True) == {"--left", "--right"}
+    assert _flags(verify["graham"]) == {"--left", "--right"} | budget
+
+
+@pytest.mark.parametrize("edit", [
+    lambda data: next(iter(data["levels"].values())).update(k=8),
+    lambda data: data.update(levels=5),
+], ids=["level-size-edited", "levels-not-a-map"])
+def test_a_checkpoint_not_as_saved_is_a_usage_error(tmp_path, capsys, edit):
+    g, cp = tmp_path / "p3.json", tmp_path / "cp.json"
+    assert run(["construct", "path", "--n", "3", "--out", str(g)]) == 0
+    argv = ["pebbling-number", "--graph", str(g), "--targets", "v3",
+            "--checkpoint", str(cp)]
+    assert run(argv) == 0
+    data = json.loads(cp.read_text())
+    edit(data)
+    cp.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and str(cp) in captured.err
 
 
 def test_checkpoint_only_on_pebbling_number(tmp_path, mc4):

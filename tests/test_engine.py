@@ -1,4 +1,6 @@
+import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -639,6 +641,33 @@ def test_compute_pebbling_resumes_from_checkpoint(tmp_path):
     resumed = compute_pebbling(g, t=2, budget=budget, checkpoint=SweepCheckpoint(cp_file))
     assert resumed == whole
     assert budget.nodes < whole.distributions_checked  # it did not start over
+
+
+@pytest.mark.parametrize("edit", [
+    lambda e: e.update(k=2),
+    lambda e: e.update(k=True),
+    lambda e: e.update(candidates=-1),
+    lambda e: e.pop("max_level"),
+    lambda e: e.update(unsolvable=[]),
+    lambda e: e.update(unsolvable=[3.0]),
+    lambda e: e.update(unsolvable=[3 << 6]),           # 3 pebbles on the target v3
+    lambda e: e.update(unsolvable=[3 + (1 << 9)]),     # a field past the last vertex
+], ids=["wrong-size", "boolean-size", "negative-count", "missing-field",
+        "empty-level", "float-member", "member-covers-target", "member-overflows"])
+def test_checkpoint_rejects_a_level_not_as_saved(tmp_path, edit):
+    # P3 with target v3: 3 bits per vertex, and the saved level is U_3
+    g, target = path(3), [Original(3)]
+    cp_file = str(tmp_path / "cp.json")
+    compute_pebbling(g, targets=target, checkpoint=SweepCheckpoint(cp_file))
+    with open(cp_file) as fh:
+        data = json.load(fh)
+    (entry,) = data["levels"].values()
+    assert entry["bits"] == 3 and entry["k"] == 3
+    edit(entry)
+    with open(cp_file, "w") as fh:
+        json.dump(data, fh)
+    with pytest.raises(InvalidParameter, match=re.escape(cp_file)):
+        compute_pebbling(g, targets=target, checkpoint=SweepCheckpoint(cp_file))
 
 
 def test_budget_exhaustion_raises():
