@@ -18,17 +18,20 @@ are therefore u + e_v for u in U_{k-1} and v >= top(u): each is generated
 exactly once, from that one parent, with no set to deduplicate. A
 candidate is unsolvable iff it holds fewer than t pebbles on the target
 and every legal move, including moves out of the target, lands in
-U_{k-1}. The first empty level is f_t(G, target), and the colex-first
-member of the last non-empty level is the witness. The work, and what a
-``Budget`` is charged (one node per candidate; ``distributions_checked``
-counts the candidates), scales with the unsolvable set rather than with
-the C(k+n-1, n-1) distributions of a level. Over several targets, the DP
-runs once per orbit under the graph's automorphisms, and only when a
-vertex permutation taking one target to another has been found and
-checked against the edge set are the two merged; the count of candidates
-and the budget then cover the representatives only. ``sweep_level`` still
-classifies a single level by enumeration and the solver; tests use it as
-the reference.
+U_{k-1}. Each member carries its exact potential, so a candidate whose
+potential is below t is unsolvable by the weight function lemma and is
+kept without that test, and the test reads only the vertices holding two
+or more pebbles, found with one mask. The first empty level is
+f_t(G, target), and the colex-first member of the last non-empty level
+is the witness. The work, and what a ``Budget`` is charged (one node per
+candidate; ``distributions_checked`` counts the candidates), scales with
+the unsolvable set rather than with the C(k+n-1, n-1) distributions of a
+level. Over several targets, the DP runs once per orbit under the graph's
+automorphisms, and only when a vertex permutation taking one target to
+another has been found and checked against the edge set are the two
+merged; the count of candidates and the budget then cover the
+representatives only. ``sweep_level`` still classifies a single level by
+enumeration and the solver; tests use it as the reference.
 
 All arithmetic that feeds a pruning decision is exact integer arithmetic;
 no floating point is involved anywhere in the search.
@@ -43,7 +46,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (BudgetExceeded, InsufficientPebbles, InvalidParameter,
                      NotAdjacent, UnknownVertex)
@@ -483,10 +486,11 @@ class SweepCheckpoint:
     file: per graph hash, target and t, the last completed non-empty level
     of unsolvable distributions, so a resumed run continues from there.
 
-    A loaded level must be as ``save_level`` wrote it, each member holding
-    k pebbles with fewer than t on the target, or an InvalidParameter names
-    the file. A level with members deleted cannot be detected and may give
-    too small a value: a resumed value rests on the file.
+    The file must be UTF-8 JSON, and a loaded level must be as
+    ``save_level`` wrote it, each member holding k pebbles with fewer than
+    t on the target, or an InvalidParameter names the file. A level with
+    members deleted cannot be detected and may give too small a value: a
+    resumed value rests on the file.
     """
 
     def __init__(self, path: str):
@@ -495,10 +499,15 @@ class SweepCheckpoint:
 
     def _load(self) -> dict:
         if self._data is None:
-            self._data = {}
+            data = {}
             if os.path.exists(self.path):
-                with open(self.path) as fh:
-                    self._data = json.load(fh)
+                with open(self.path, encoding="utf-8") as fh:
+                    try:
+                        data = json.load(fh)
+                    except ValueError as exc:  # not UTF-8, or not JSON
+                        raise InvalidParameter(f"checkpoint {self.path} is not JSON: "
+                                               f"{type(exc).__name__}: {exc}") from None
+            self._data = data
         return self._data
 
     def _store(self) -> None:
@@ -534,7 +543,7 @@ class SweepCheckpoint:
                     f"distribution of {k} pebbles with fewer than {t} on the target")
         return k, set(entry["unsolvable"]), entry["candidates"], entry["max_level"]
 
-    def save_level(self, key: str, bits: int, k: int, level: set[int],
+    def save_level(self, key: str, bits: int, k: int, level: Iterable[int],
                    candidates: int, max_level: int) -> None:
         self._load().setdefault("levels", {})[key] = {
             "bits": bits, "k": k, "candidates": candidates, "max_level": max_level,
@@ -603,43 +612,74 @@ def _downset_dp(g: Graph, ti: int, t: int, budget: Optional[Budget],
     vertex holding a pebble: u in U_{k-1} is extended only by e_v for
     v >= top(u). Since U is a down-set, every c in U_k has that parent in
     U_{k-1}, so U_k is the same as when every u is extended by every e_v,
-    and no set is needed to deduplicate. Fields are read through
-    precomputed masks: v holds at least 2 pebbles iff c & field_v >= 2e_v.
+    and no set is needed to deduplicate.
+
+    A level maps each member to its scaled potential sum c_v*2^(ecc-dist(v)),
+    so a candidate's potential is its parent's plus one weight. The
+    potential never rises under a move (the basic case of Hurlbert's weight
+    function lemma), so a candidate below t*2^ecc is unsolvable and joins
+    U_k with no lookup. Any other candidate is tested only at its rich
+    vertices, those holding at least 2 pebbles: c & high, where high holds
+    every bit of each field but the lowest, is nonzero exactly in their
+    fields, which are walked from the top down. A checkpoint keeps the
+    members only; their potentials are recomputed when a level is loaded.
     """
     bits = _field_bits(g, ti, t)
     n = g.n
+    dist = g.distances_from(ti)
+    ecc = max(dist)
+    goal = t << ecc
+    weights = [1 << (ecc - d) for d in dist]
     units = [1 << bits * v for v in range(n)]
     fields = [((1 << bits) - 1) * e for e in units]
-    # per source vertex: its field, the packed count 2 in it, and the packed
-    # effect of each move out
-    moves = [(fields[a], 2 * units[a], [2 * units[a] - units[b] for b in g.neighbors[a]])
-             for a in range(n)]
+    high = sum(fields) - sum(units)
+    # per bit length of a packed int: the extensions (unit, weight) of a
+    # member whose top vertex is the one holding that bit, and, for the
+    # rich-vertex walk, the packed effects of that vertex's moves out and
+    # the mask of the fields below it
+    ext, rich = [list(zip(units, weights))], [None]
+    for v in range(n):
+        out = [2 * units[v] - units[b] for b in g.neighbors[v]]
+        ext += [list(zip(units[v:], weights[v:]))] * bits
+        rich += [(out, units[v] - 1)] * bits
     tfield, tcap = fields[ti], t * units[ti]
-    key = f"{graph_hash(g)}:{ti}:{t}"
-    k, prev, checked, widest = 0, {0}, 0, 1  # U_0: the empty distribution
+    k, prev, checked, widest = 0, {0: 0}, 0, 1  # U_0: the empty distribution
     if checkpoint is not None:
-        k, prev, checked, widest = (checkpoint.load_level(key, bits, n, ti, t)
-                                    or (k, prev, checked, widest))
-
-    def stuck(c: int) -> bool:
-        for f, two, deltas in moves:
-            if c & f >= two:
-                for d in deltas:
-                    if c - d not in prev:
-                        return False
-        return True
+        key = f"{graph_hash(g)}:{ti}:{t}"
+        saved = checkpoint.load_level(key, bits, n, ti, t)
+        if saved is not None:
+            k, level, checked, widest = saved
+            prev = {c: sum(((c & f) >> bits * v) * w
+                           for v, (f, w) in enumerate(zip(fields, weights)))
+                    for c in level}
 
     while True:
-        cur = set()
-        for u in prev:
-            top = (u.bit_length() - 1) // bits if u else 0
-            checked += n - top
-            for e in units[top:]:
+        cur = {}
+        for u, pot in prev.items():
+            todo = ext[u.bit_length()]
+            checked += len(todo)
+            for e, w in todo:
                 if budget is not None:
                     budget.charge()
-                c = u + e
-                if c & tfield < tcap and stuck(c):
-                    cur.add(c)
+                c, p = u + e, pot + w
+                if p < goal:
+                    cur[c] = p
+                    continue
+                if c & tfield >= tcap:
+                    continue
+                # stuck iff every move out of every rich vertex lands in prev
+                r = c & high
+                while r:
+                    out, below = rich[r.bit_length()]
+                    for d in out:
+                        if c - d not in prev:
+                            break
+                    else:
+                        r &= below
+                        continue
+                    break
+                else:
+                    cur[c] = p
         if not cur:
             break
         k, prev = k + 1, cur

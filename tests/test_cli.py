@@ -234,6 +234,12 @@ def test_verify_graham_with_a_middle_graph_factor(capsys, monkeypatch):
     assert "holds (f_left=10, f_right=2, f_product=18)" in capsys.readouterr().out
 
 
+def test_verify_graham_with_a_trimmed_middle_path_factor(capsys):
+    # f(TMP(4) x P2) = 10 <= 6 * 2
+    assert run(["verify", "graham", "--left", "m-path-trimmed:4", "--right", "path:2"]) == 0
+    assert "holds (f_left=6, f_right=2, f_product=10)" in capsys.readouterr().out
+
+
 def test_verify_unknown_claim():
     assert run(["verify", "whatever", "--n", "3"]) == 3
 
@@ -357,6 +363,17 @@ def test_a_checkpoint_not_as_saved_is_a_usage_error(tmp_path, capsys, edit):
     cp.write_text(json.dumps(data))
     capsys.readouterr()
     assert run(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and str(cp) in captured.err
+
+
+@pytest.mark.parametrize("raw", [b"{bad", b"\xff\xfe"], ids=["not-json", "not-utf8"])
+def test_a_checkpoint_that_is_not_json_is_a_usage_error(tmp_path, capsys, raw):
+    g, cp = tmp_path / "p3.json", tmp_path / "cp.json"
+    assert run(["construct", "path", "--n", "3", "--out", str(g)]) == 0
+    cp.write_bytes(raw)
+    capsys.readouterr()
+    assert run(["pebbling-number", "--graph", str(g), "--checkpoint", str(cp)]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == "" and str(cp) in captured.err
 

@@ -505,8 +505,10 @@ def test_dp_matches_unpruned_search():
 def allpairs_downset_dp(g, ti, t):
     """The DP's level step before candidates had one parent: every u in
     U_{k-1} plus every e_v, deduplicated by a set, each field read by shift
-    and mask. Returns (f_t, colex-first witness vector, candidates)."""
-    bits = ((g.n - 1) * ((t << g.diameter()) - 1) + t).bit_length()
+    and mask, every field tested, no potential. Returns (f_t, colex-first
+    witness vector, candidates, U_{f-1} packed with the engine's bits)."""
+    ecc = max(g.distances_from(ti))
+    bits = ((g.n - 1) * ((t << ecc) - 1) + t).bit_length()
     mask = (1 << bits) - 1
     units = [1 << bits * v for v in range(g.n)]
     moves = [(bits * a, [2 * units[a] - units[b] for b in g.neighbors[a]])
@@ -524,7 +526,7 @@ def allpairs_downset_dp(g, ti, t):
             break
         k, prev = k + 1, cur
     first = min(prev)
-    return k + 1, [(first >> bits * v) & mask for v in range(g.n)], checked
+    return k + 1, [(first >> bits * v) & mask for v in range(g.n)], checked, prev
 
 
 # (graph, t values, targets; None means all). Vertex-transitive graphs are
@@ -554,17 +556,38 @@ ONE_PARENT_DIFFERENTIAL = [
 
 
 @pytest.mark.parametrize("g,ts,targets", ONE_PARENT_DIFFERENTIAL)
-def test_one_parent_candidates_match_all_pairs_step(g, ts, targets):
+def test_one_parent_candidates_match_all_pairs_step(g, ts, targets, tmp_path):
     # Lemma: removing a pebble never makes a distribution solvable, so every
     # c in U_k has its parent c - e_top(c) in U_{k-1}, and extending each u
-    # only at vertices >= top(u) loses no member of U_k.
+    # only at vertices >= top(u) loses no member of U_k. The weight function
+    # lemma (the potential never rises under a move) lets the engine keep a
+    # candidate of potential below t untested, and a vertex holding fewer
+    # than 2 pebbles has no move to test; the reference uses neither, and
+    # the last level the engine saves must equal the reference's U_{f-1}.
     for t in ts:
         for lab in targets or g.vertices:
-            value, vec, cands = allpairs_downset_dp(g, g.index_of(lab), t)
-            rep = compute_pebbling(g, targets=[lab], t=t)
+            value, vec, cands, last = allpairs_downset_dp(g, g.index_of(lab), t)
+            cp_file = str(tmp_path / f"cp-{t}-{lab}.json")
+            rep = compute_pebbling(g, targets=[lab], t=t,
+                                   checkpoint=SweepCheckpoint(cp_file))
             assert rep.value == value, (lab, t)
             assert rep.witness == (Distribution.from_vector(g, vec), lab), (lab, t)
             assert rep.distributions_checked <= cands, (lab, t)
+            with open(cp_file) as fh:
+                (entry,) = json.load(fh)["levels"].values()
+            assert entry["k"] == value - 1, (lab, t)
+            assert entry["unsolvable"] == sorted(last), (lab, t)
+
+
+@pytest.mark.parametrize("g,target,t,counts", [
+    (trimmed_middle_path(6), path_u(1), 1, (20, 16378, 1430)),
+    (middle_cycle(2), Original(0), 2, (18, 13678, 1430)),
+], ids=["TMP6-u(1,2)", "t2-MC4-v0"])
+def test_dp_counts_are_frozen(g, target, t, counts):
+    # Frozen values: the potential rule and the rich-vertex mask change how
+    # a candidate is tested, never which candidates or levels there are.
+    rep = compute_pebbling(g, targets=[target], t=t)
+    assert (rep.value, rep.distributions_checked, rep.max_level) == counts
 
 
 def test_budget_charges_one_node_per_candidate():
@@ -668,6 +691,15 @@ def test_checkpoint_rejects_a_level_not_as_saved(tmp_path, edit):
         json.dump(data, fh)
     with pytest.raises(InvalidParameter, match=re.escape(cp_file)):
         compute_pebbling(g, targets=target, checkpoint=SweepCheckpoint(cp_file))
+
+
+@pytest.mark.parametrize("raw", [b"{bad", b"\xff\xfe"], ids=["not-json", "not-utf8"])
+def test_checkpoint_that_is_not_json_names_its_file(tmp_path, raw):
+    cp_file = tmp_path / "cp.json"
+    cp_file.write_bytes(raw)
+    with pytest.raises(InvalidParameter, match=re.escape(str(cp_file))):
+        compute_pebbling(path(3), checkpoint=SweepCheckpoint(str(cp_file)))
+    assert cp_file.read_bytes() == raw
 
 
 def test_budget_exhaustion_raises():
