@@ -17,9 +17,8 @@ from .errors import (BudgetExceeded, DisconnectedGraph, InsufficientPebbles,
                      PreconditionNotMet, UnknownVertex)
 from .graphs import (EdgeVertex, Graph, Original, Pair, VertexLabel,
                      cartesian_product, complete, cycle, cycle_u,
-                     delete_vertices, fiber, fiber_factor_bijection,
-                     middle_cycle, middle_graph, parse_label, path, path_u,
-                     respects_adjacency, trimmed_middle_path)
+                     delete_vertices, middle_cycle, middle_graph,
+                     parse_label, path, path_u, trimmed_middle_path)
 from .strategies import (PathContext, StrategyReport, collect_on_path,
                          cor24_witness, greedy_solver, mc_pebbling_bound,
                          middle_cycle_t_strategy, middle_path_strategy,
@@ -38,8 +37,7 @@ __all__ = [
     "UnknownVertex",
     "EdgeVertex", "Graph", "Original", "Pair", "VertexLabel",
     "cartesian_product", "complete", "cycle", "cycle_u", "delete_vertices",
-    "fiber", "fiber_factor_bijection", "middle_cycle", "middle_graph",
-    "parse_label", "path", "path_u", "respects_adjacency",
+    "middle_cycle", "middle_graph", "parse_label", "path", "path_u",
     "trimmed_middle_path",
     "PathContext", "StrategyReport", "collect_on_path", "cor24_witness",
     "greedy_solver", "mc_pebbling_bound", "middle_cycle_t_strategy",

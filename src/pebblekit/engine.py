@@ -200,7 +200,7 @@ class Budget:
     def __init__(self, node_cap: Optional[int] = None, seconds: Optional[float] = None):
         self.node_cap = node_cap
         self.t0 = time.monotonic()
-        self.deadline = self.t0 + seconds if seconds else None
+        self.deadline = None if seconds is None else self.t0 + seconds
         self.nodes = 0
 
     @classmethod
@@ -215,7 +215,7 @@ class Budget:
             raise BudgetExceeded(f"node budget of {self.node_cap} exhausted",
                                  nodes_explored=self.nodes,
                                  elapsed=time.monotonic() - self.t0)
-        if self.deadline is not None and time.monotonic() > self.deadline:
+        if self.deadline is not None and time.monotonic() >= self.deadline:
             raise BudgetExceeded("time budget exhausted",
                                  nodes_explored=self.nodes,
                                  elapsed=time.monotonic() - self.t0)

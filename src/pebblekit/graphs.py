@@ -142,7 +142,7 @@ class Graph:
         self._edge_set = frozenset(edge_set)
         self._dist_cache: dict[int, tuple[int, ...]] = {}
         self._diameter: int | None = None
-        if n > 0 and not self._is_connected():
+        if n > 0 and -1 in self.distances_from(0):
             raise DisconnectedGraph("graph is not connected")
 
     # -- basic queries ------------------------------------------------------
@@ -174,24 +174,11 @@ class Graph:
     def adjacent(self, a: VertexLabel, b: VertexLabel) -> bool:
         return self.has_edge(self.index_of(a), self.index_of(b))
 
-    def _is_connected(self) -> bool:
-        seen = [False] * self.n
-        seen[0] = True
-        queue = deque([0])
-        count = 1
-        while queue:
-            v = queue.popleft()
-            for w in self.neighbors[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    queue.append(w)
-        return count == self.n
-
     # -- metric -------------------------------------------------------------
 
     def distances_from(self, idx: int) -> tuple[int, ...]:
-        """BFS distances from the given vertex index (cached)."""
+        """BFS distances from the given vertex index (cached); -1 marks a
+        vertex it does not reach."""
         cached = self._dist_cache.get(idx)
         if cached is not None:
             return cached
@@ -212,12 +199,9 @@ class Graph:
     def distance(self, a: VertexLabel, b: VertexLabel) -> int:
         return self.distances_from(self.index_of(a))[self.index_of(b)]
 
-    def eccentricity(self, idx: int) -> int:
-        return max(self.distances_from(idx))
-
     def diameter(self) -> int:
         if self._diameter is None:
-            self._diameter = max(self.eccentricity(v) for v in range(self.n))
+            self._diameter = max(max(self.distances_from(v)) for v in range(self.n))
         return self._diameter
 
     # -- serialization ------------------------------------------------------
@@ -346,24 +330,6 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     return Graph(verts, edges)
 
 
-def fiber(p: Graph, side: str, anchor: VertexLabel) -> Graph:
-    """The fiber subgraph of a product: all Pair vertices whose chosen side
-    equals ``anchor``. Isomorphic to the other factor."""
-    if side not in ("left", "right"):
-        raise InvalidParameter(f"side must be 'left' or 'right', got {side!r}")
-    for lab in p.vertices:
-        if not isinstance(lab, Pair):
-            raise InvalidParameter("fiber expects a product graph on Pair labels")
-    if side == "left":
-        keep = [lab for lab in p.vertices if lab.left == anchor]
-    else:
-        keep = [lab for lab in p.vertices if lab.right == anchor]
-    if not keep:
-        raise UnknownVertex(f"no fiber anchored at {anchor} on the {side} side")
-    drop = [lab for lab in p.vertices if lab not in set(keep)]
-    return delete_vertices(p, drop)
-
-
 # ---------------------------------------------------------------------------
 # Named families from the strategy work
 
@@ -380,35 +346,6 @@ def trimmed_middle_path(n: int) -> Graph:
     if n < 3:
         raise InvalidParameter(f"trimmed_middle_path needs n >= 3, got {n}")
     return delete_vertices(middle_graph(path(n)), {Original(1), Original(n)})
-
-
-# ---------------------------------------------------------------------------
-# Label-bijection isomorphism check (used for the fiber invariant)
-
-
-def respects_adjacency(g: Graph, h: Graph, mapping: dict[VertexLabel, VertexLabel]) -> bool:
-    """True iff ``mapping`` is a bijection V(g) -> V(h) carrying edges to
-    edges and non-edges to non-edges."""
-    if set(mapping) != set(g.vertices):
-        return False
-    image = set(mapping.values())
-    if len(image) != g.n or image != set(h.vertices):
-        return False
-    if g.m != h.m:
-        return False
-    for a, b in g.edges:
-        if not h.adjacent(mapping[g.vertices[a]], mapping[g.vertices[b]]):
-            return False
-    return True
-
-
-def fiber_factor_bijection(p: Graph, side: str,
-                           anchor: VertexLabel) -> dict[VertexLabel, VertexLabel]:
-    """The canonical label bijection from a fiber onto its factor."""
-    fib = fiber(p, side, anchor)
-    if side == "left":
-        return {lab: lab.right for lab in fib.vertices}
-    return {lab: lab.left for lab in fib.vertices}
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,10 @@ Strategies compute on count vectors indexed like their graph's vertices.
 A sub-argument (the mirrored trimmed path, a rotated or reflected half of
 M(C_2n), a product fiber) runs on its own count vector in its own frame,
 and its moves come back to the caller through one index map, frame index
-to caller index (``_replay_frame``). Labels appear only where a public
-function reads its distribution and target and builds its report.
+to caller index (``_replay_frame``). Each frame is computed by index
+arithmetic on the family's u/v index tables (``_tmp_tables``,
+``_mc_tables``). Labels appear only where a public function reads its
+distribution and target and builds its report.
 
 Weight bookkeeping convention for a path v_1..v_n with target v_k: a
 pebble on v_i weighs 2^(i-1) on the left side and 2^(n-j) on v_j on the
@@ -23,12 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .engine import (Distribution, MoveSequence, _greedy_counts,
                      _moves_to_sequence, _push_half)
 from .errors import InvalidParameter, PreconditionNotMet, UnknownVertex
-from .graphs import (EdgeVertex, Graph, Original, Pair, VertexLabel,
+from .graphs import (Graph, Original, Pair, VertexLabel,
                      cartesian_product, cycle_u, middle_cycle, path_u,
                      trimmed_middle_path)
 
@@ -87,12 +89,6 @@ class PathContext:
 # ---------------------------------------------------------------------------
 # Frames: a sub-argument runs on its own count vector, and its moves come
 # back to the caller through an index map (frame index -> caller index)
-
-
-def _index_map(src: Graph, dst: Graph,
-               image: Callable[[VertexLabel], VertexLabel]) -> tuple[int, ...]:
-    """Entry i is the index in ``dst`` of the image of ``src``'s vertex i."""
-    return tuple(dst.index_of(image(lab)) for lab in src.vertices)
 
 
 def _replay_frame(counts: list[int], frame: Sequence[int],
@@ -202,9 +198,13 @@ def _tmp_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def _tmp_mirror(n: int) -> tuple[int, ...]:
     """Index map of the end-swapping symmetry: v_m <-> v_{n+1-m},
     u_i <-> u_{n-i}."""
-    g = _tmp_graph(n)
-    return _index_map(g, g, lambda lab: Original(n + 1 - lab.index)
-                      if isinstance(lab, Original) else path_u(n - lab.i))
+    u, v = _tmp_tables(n)
+    frame = [0] * _tmp_graph(n).n
+    for i in range(1, n):
+        frame[u[i]] = u[n - i]
+    for m in range(2, n):
+        frame[v[m]] = v[n + 1 - m]
+    return tuple(frame)
 
 
 def _tmp_solve(n: int, counts: list[int], target: int,
@@ -213,10 +213,9 @@ def _tmp_solve(n: int, counts: list[int], target: int,
     counts, appends moves, returns a case tag."""
     u, v = _tmp_tables(n)
     spine = u[1:]
-    lab = _tmp_graph(n).vertices[target]
 
-    if isinstance(lab, EdgeVertex):
-        k = lab.i
+    if target in u:
+        k = u.index(target)
         if counts[u[k]] >= 1:
             return "u-target:already"
         # every original donates its floor-half toward the target's side
@@ -227,7 +226,7 @@ def _tmp_solve(n: int, counts: list[int], target: int,
         _collect_indices(counts, spine, k, 1, moves)
         return "u-target:spine"
 
-    k = lab.index
+    k = v.index(target)
     if counts[v[k]] >= 1:
         return "v-target:already"
     if 2 * k < n + 1:
@@ -311,55 +310,37 @@ def _mc_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return u, v
 
 
-def _cycle_u_position(two_n: int, lab: EdgeVertex) -> int:
-    """The i with lab == u_i of C_{two_n}."""
-    return lab.i if lab.j == lab.i + 1 else two_n - 1
-
-
-def _mc_symmetry(n: int, rot: int,
-                 axis: str | None) -> Callable[[VertexLabel], VertexLabel]:
-    """A dihedral symmetry of M(C_{2n}) on labels: optionally reflect, then
-    rotate by ``rot``.
-
-    axis "vertex" fixes v_0 and v_n (v_i -> v_{-i}, u_i -> u_{-1-i}); axis
-    "edge" fixes u_0 and u_n (v_i -> v_{1-i}, u_i -> u_{-i}).
-    """
-    two_n = 2 * n
-
-    def image(lab: VertexLabel) -> VertexLabel:
-        if isinstance(lab, Original):
-            i = lab.index
-            if axis == "vertex":
-                i = -i
-            elif axis == "edge":
-                i = 1 - i
-            return Original((i + rot) % two_n)
-        i = _cycle_u_position(two_n, lab)
-        if axis == "vertex":
-            i = -1 - i
-        elif axis == "edge":
-            i = -i
-        return cycle_u(two_n, i + rot)
-    return image
-
-
 @lru_cache(maxsize=128)
-def _mc_perm(n: int, rot: int, axis: str | None) -> tuple[int, ...]:
-    """Index map of ``_mc_symmetry(n, rot, axis)`` on M(C_{2n})."""
-    g = _mc_graph(n)
-    return _index_map(g, g, _mc_symmetry(n, rot, axis))
+def _mc_perm(n: int, s: int, a: int) -> tuple[int, ...]:
+    """Index map of the dihedral symmetry v_i -> v_{s*i+a} of M(C_{2n}),
+    s = +-1. It sends u_i -> u_{i+a}, or u_{a-1-i} when it reflects (the
+    edge v_i v_{i+1} goes to v_{a-i} v_{a-i-1})."""
+    u, v = _mc_tables(n)
+    two_n = 2 * n
+    frame = [0] * (2 * two_n)
+    for i in range(two_n):
+        frame[v[i]] = v[(s * i + a) % two_n]
+        frame[u[i]] = u[(i + a if s == 1 else a - 1 - i) % two_n]
+    return tuple(frame)
 
 
 @lru_cache(maxsize=32)
 def _mc_half_frame(n: int, use_b: bool) -> tuple[int, ...]:
     """Index map from M(P_{n+2}) - {v_1, v_{n+2}} onto a half of M(C_{2n}):
     u_j -> u_{j-1} and v_j -> v_{j-1}, so the spine end u_1 lands on u_0.
-    Half B is the image of half A under the reflection fixing u_0 and u_n."""
-    two_n = 2 * n
-    flip = _mc_symmetry(n, 0, "edge" if use_b else None)
-    return _index_map(_tmp_graph(n + 2), _mc_graph(n), lambda lab: flip(
-        Original(lab.index - 1) if isinstance(lab, Original)
-        else cycle_u(two_n, lab.i - 1)))
+    Half B is the image of half A under the reflection v_i -> v_{1-i},
+    which fixes u_0 and u_n."""
+    ut, vt = _tmp_tables(n + 2)
+    u, v = _mc_tables(n)
+    frame = [0] * _tmp_graph(n + 2).n
+    for j in range(1, n + 2):
+        frame[ut[j]] = u[j - 1]
+    for j in range(2, n + 2):
+        frame[vt[j]] = v[j - 1]
+    if use_b:
+        flip = _mc_perm(n, -1, 1)
+        frame = [flip[c] for c in frame]
+    return tuple(frame)
 
 
 def _mc_u_spine(n: int, counts: list[int], t: int,
@@ -449,7 +430,7 @@ def _mc_solve_v0(n: int, counts: list[int], t: int,
         + sum(counts[v[i]] for i in range(1, n))
     side_b = sum(counts[u[i]] for i in range(n, 2 * n)) \
         + sum(counts[v[i]] for i in range(n + 1, 2 * n))
-    frame = _mc_perm(n, 0, "vertex" if side_b > side_a else None)
+    frame = _mc_perm(n, -1 if side_b > side_a else 1, 0)
     sub: list[tuple[int, int]] = []
     tag = _mc_v0_oriented(n, [counts[i] for i in frame], need, sub)
     _replay_frame(counts, frame, sub, moves)
@@ -485,11 +466,11 @@ def _mc_strategy(n: int, counts: list[int], target: int, t: int,
     total = sum(counts)
     if total < floor:
         raise PreconditionNotMet(f"{total} pebbles, hypothesis needs {floor}")
-    lab = _mc_graph(n).vertices[target]
-    if isinstance(lab, Original):
-        frame, solve = _mc_perm(n, lab.index, None), _mc_solve_v0
+    u, v = _mc_tables(n)
+    if target in v:
+        frame, solve = _mc_perm(n, 1, v.index(target)), _mc_solve_v0
     else:
-        frame, solve = _mc_perm(n, _cycle_u_position(2 * n, lab), None), _mc_solve_u0
+        frame, solve = _mc_perm(n, 1, u.index(target)), _mc_solve_u0
     sub: list[tuple[int, int]] = []
     tag = solve(n, [counts[i] for i in frame], t, sub)
     _replay_frame(counts, frame, sub, moves)
@@ -547,7 +528,7 @@ def product_collection_strategy(gp: Graph, d: Distribution,
     # pos[p]: the index x * |V(gr)| + y of gp's vertex p in the product of
     # the factors' own graphs, whose edges gp must have, not only its labels
     canon = _mc_product(n, m)
-    pos = _index_map(gp, canon, lambda lab: lab)
+    pos = [canon.index_of(lab) for lab in gp.vertices]
     edges = {(pos[a], pos[b]) if pos[a] < pos[b] else (pos[b], pos[a])
              for a, b in gp.edges}
     if gp.n != canon.n or edges != canon.edges:

@@ -130,6 +130,49 @@ def test_pebbling_number_budget_inconclusive(tmp_path, capsys):
     assert "inconclusive" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+def test_a_zero_time_budget_is_inconclusive(tmp_path, capsys, monkeypatch, via_env):
+    # 0 seconds is a cap spent at once, not "no limit"
+    g = tmp_path / "tmp5.json"
+    assert run(["construct", "m-path-trimmed", "--n", "5", "--out", str(g)]) == 0
+    capsys.readouterr()
+    monkeypatch.delenv("PEBBLEKIT_NODE_BUDGET", raising=False)
+    if via_env:
+        monkeypatch.setenv("PEBBLEKIT_TIME_BUDGET", "0")
+        flags = []
+    else:
+        monkeypatch.delenv("PEBBLEKIT_TIME_BUDGET", raising=False)
+        flags = ["--budget-seconds", "0"]
+    assert run(["pebbling-number", "--graph", str(g), *flags]) == 2
+    assert "inconclusive: time budget exhausted" in capsys.readouterr().out
+
+
+def test_pebbling_number_witness_is_unsolvable(tmp_path, capsys):
+    g = tmp_path / "p4.json"
+    w = tmp_path / "w.json"
+    assert run(["construct", "path", "--n", "4", "--out", str(g)]) == 0
+    assert run(["pebbling-number", "--graph", str(g), "--witness-out", str(w)]) == 0
+    witness = json.loads(w.read_text())
+    d = tmp_path / "d.json"
+    d.write_text(json.dumps(witness["distribution"]))
+    capsys.readouterr()
+    assert run(["solve", "--graph", str(g), "--dist", str(d),
+                "--target", witness["target"]]) == 1
+    assert capsys.readouterr().out.startswith("unsolvable")
+
+
+def test_solve_replay_short_of_t(tmp_path, capsys):
+    g = tmp_path / "p2.json"
+    assert run(["construct", "path", "--n", "2", "--out", str(g)]) == 0
+    d = dist_file(tmp_path, {"v1": 2})
+    w = tmp_path / "w.json"
+    w.write_text(json.dumps([["v1", "v2"]]))
+    capsys.readouterr()
+    assert run(["solve", "--graph", str(g), "--dist", str(d), "--target", "v2",
+                "--t", "2", "--replay", str(w)]) == 1
+    assert "replay legal but leaves only 1" in capsys.readouterr().out
+
+
 def test_pebbling_number_restricted_targets(tmp_path, capsys):
     g = tmp_path / "p4.json"
     assert run(["construct", "path", "--n", "4", "--out", str(g)]) == 0
@@ -145,6 +188,36 @@ def test_explain_middle_cycle(mc4, tmp_path, capsys):
                 "--dist", str(d), "--target", "u(0,1)"]) == 0
     out = capsys.readouterr().out
     assert "case:" in out and "->" in out
+
+
+def test_explain_middle_path(tmp_path, capsys):
+    g = tmp_path / "tmp5.json"
+    assert run(["construct", "m-path-trimmed", "--n", "5", "--out", str(g)]) == 0
+    d = dist_file(tmp_path, {"u(4,5)": 8, "v2": 1, "v3": 1, "v4": 1})
+    w = tmp_path / "w.json"
+    capsys.readouterr()
+    assert run(["explain", "--strategy", "middle-path", "--graph", str(g),
+                "--dist", str(d), "--target", "u(1,2)", "--witness-out", str(w)]) == 0
+    out = capsys.readouterr().out
+    assert "case: u-target:spine" in out and "in 7 moves" in out
+    report = json.loads(w.read_text())
+    assert set(report) == {"succeeded", "delivered", "case_tag", "moves"}
+    assert report["case_tag"] == "u-target:spine" and len(report["moves"]) == 7
+    # a path is not a trimmed middle path
+    p4 = tmp_path / "p4.json"
+    assert run(["construct", "path", "--n", "4", "--out", str(p4)]) == 0
+    assert run(["explain", "--strategy", "middle-path", "--graph", str(p4),
+                "--dist", str(d), "--target", "u(1,2)"]) == 3
+
+
+def test_explain_greedy(tmp_path, capsys):
+    g = tmp_path / "p4.json"
+    assert run(["construct", "path", "--n", "4", "--out", str(g)]) == 0
+    d = dist_file(tmp_path, {"v1": 4})
+    capsys.readouterr()
+    assert run(["explain", "--strategy", "greedy", "--graph", str(g),
+                "--dist", str(d), "--target", "v3"]) == 0
+    assert "case: greedy\n" in capsys.readouterr().out
 
 
 def test_explain_collect_threshold(tmp_path, capsys):
@@ -219,6 +292,17 @@ def test_verify_lemma26_at_n3_with_the_default_budget(tmp_path, monkeypatch):
     assert rec["status"] == "confirmed"
     assert rec["evidence"]["oracle"] == 20
     assert rec["evidence"]["dp_targets"] == ["v0", "u(0,1)"]
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["cor27", "--n", "2", "--t", "1"],
+     'cor27_bound {"n": 2, "t": 1}: confirmed (oracle 10 <= bound 10)'),
+    (["cor31", "--n", "2", "--t", "2"],
+     'cor31_bound {"n": 2, "t": 2}: confirmed (oracle 13 <= bound 16)'),
+], ids=["cor27", "cor31"])
+def test_verify_confirms_an_upper_bound_claim(capsys, argv, line):
+    assert run(["verify", *argv]) == 0
+    assert line in capsys.readouterr().out.splitlines()
 
 
 def test_verify_graham(capsys):

@@ -708,6 +708,12 @@ def test_budget_exhaustion_raises():
         compute_pebbling(g, budget=Budget(node_cap=1000))
 
 
+def test_a_zero_time_budget_is_spent_at_the_first_node():
+    # a cap of 0 seconds is a cap, as a cap of 0 nodes is; no cap is None
+    with pytest.raises(BudgetExceeded, match="time budget exhausted"):
+        compute_pebbling(path(3), budget=Budget(seconds=0))
+
+
 def test_lower_bound_certified():
     for g in (path(4), cycle(6), middle_cycle(2)):
         value, witnesses = lower_bound(g)

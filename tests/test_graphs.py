@@ -12,9 +12,8 @@ from pebblekit.errors import (DisconnectedGraph, InvalidParameter,
                               UnknownVertex)
 from pebblekit.graphs import (EdgeVertex, Graph, Original, Pair,
                               cartesian_product, complete, cycle, cycle_u,
-                              delete_vertices, fiber, fiber_factor_bijection,
-                              middle_cycle, middle_graph, parse_label, path,
-                              path_u, respects_adjacency, target_orbits,
+                              delete_vertices, middle_cycle, middle_graph,
+                              parse_label, path, path_u, target_orbits,
                               trimmed_middle_path)
 
 from conftest import asymmetric_graph, petersen
@@ -150,20 +149,13 @@ def test_product_adjacency_rule():
     assert g.adjacent(a, Pair(Original(2), Original(1)))
     assert g.adjacent(a, Pair(Original(1), Original(2)))
     assert not g.adjacent(a, Pair(Original(2), Original(2)))
-
-
-def test_fiber_isomorphic_to_factor():
-    gp = cartesian_product(path(3), cycle(4))
-    mapping = fiber_factor_bijection(gp, "left", Original(2))
-    assert respects_adjacency(fiber(gp, "left", Original(2)), cycle(4), mapping)
-    mapping = fiber_factor_bijection(gp, "right", Original(0))
-    assert respects_adjacency(fiber(gp, "right", Original(0)), path(3), mapping)
-
-
-def test_fiber_unknown_anchor():
-    gp = cartesian_product(path(2), path(2))
-    with pytest.raises(UnknownVertex):
-        fiber(gp, "left", Original(9))
+    # every pair: each fiber is a copy of its factor, and nothing else joins
+    gl, gr = path(3), cycle(4)
+    gp = cartesian_product(gl, gr)
+    for x, y in combinations(gp.vertices, 2):
+        rule = ((x.left == y.left and gr.adjacent(x.right, y.right))
+                or (x.right == y.right and gl.adjacent(x.left, y.left)))
+        assert gp.adjacent(x, y) == rule, (x, y)
 
 
 # -- automorphisms and target orbits -----------------------------------------
@@ -246,6 +238,12 @@ gc.collect()
 print(sum(isinstance(o, dict) and o.get("__name__") == "pebblekit.graphs"
           and "__spec__" in o for o in gc.get_objects()))
 """
+
+
+def test_every_exported_name_resolves():
+    # a stale entry makes `from pebblekit import *` raise
+    missing = [name for name in pebblekit.__all__ if not hasattr(pebblekit, name)]
+    assert missing == []
 
 
 def test_reimport_frees_the_old_graphs_module():

@@ -6,7 +6,8 @@ from pebblekit.errors import InvalidParameter, PreconditionNotMet, UnknownVertex
 from pebblekit.graphs import (EdgeVertex, Graph, Original, Pair,
                               cartesian_product, cycle_u, middle_cycle, path,
                               path_u, trimmed_middle_path)
-from pebblekit.strategies import (PathContext, collect_on_path, cor24_witness,
+from pebblekit.strategies import (PathContext, _mc_half_frame, _mc_perm,
+                                  _tmp_mirror, collect_on_path, cor24_witness,
                                   greedy_solver, mc_pebbling_bound,
                                   middle_cycle_t_strategy,
                                   middle_path_strategy, path_weight,
@@ -227,6 +228,51 @@ def test_middle_cycle_rounds_fire_for_large_t():
         rep = middle_cycle_t_strategy(n, d, cycle_u(4, 0), t)
         assert rep.succeeded and rep.rationale == tag
         assert replay(g, d, rep.sequence).get(cycle_u(4, 0)) == rep.delivered >= t
+
+
+# -- frames ------------------------------------------------------------------
+# Each frame is an index map, frame index -> caller index, computed from the
+# family index tables; these tests check it against the labels.
+
+
+def _edges_under(g, frame) -> set:
+    return {tuple(sorted((frame[a], frame[b]))) for a, b in g.edges}
+
+
+def test_mc_perm_is_the_dihedral_symmetry():
+    for n in range(2, 7):
+        g, two_n = middle_cycle(n), 2 * n
+        for s in (1, -1):
+            for a in range(two_n):
+                frame = _mc_perm(n, s, a)
+                assert sorted(frame) == list(range(g.n))
+                assert _edges_under(g, frame) == g.edges, (n, s, a)
+                for i in range(two_n):
+                    image = g.vertices[frame[g.index_of(Original(i))]]
+                    assert image == Original((s * i + a) % two_n)
+
+
+def test_mc_half_frames_embed_the_trimmed_middle_path():
+    for n in range(2, 7):
+        tmp, g, two_n = trimmed_middle_path(n + 2), middle_cycle(n), 2 * n
+        for use_b, sign, shift in ((False, 1, -1), (True, -1, 2)):
+            frame = _mc_half_frame(n, use_b)
+            assert len(set(frame)) == tmp.n
+            assert _edges_under(tmp, frame) <= g.edges
+            assert g.vertices[frame[tmp.index_of(path_u(1))]] == cycle_u(two_n, 0)
+            for j in range(2, n + 2):  # v_j -> v_{j-1}, half B mirrored
+                image = g.vertices[frame[tmp.index_of(Original(j))]]
+                assert image == Original((sign * j + shift) % two_n)
+
+
+def test_tmp_mirror_swaps_the_ends():
+    for n in range(3, 10):
+        g = trimmed_middle_path(n)
+        frame = _tmp_mirror(n)
+        assert sorted(frame) == list(range(g.n))
+        assert _edges_under(g, frame) == g.edges
+        for m in range(2, n):
+            assert frame[g.index_of(Original(m))] == g.index_of(Original(n + 1 - m))
 
 
 # -- product collection ------------------------------------------------------
