@@ -2,10 +2,11 @@
 
 Exit codes are a stable scripting contract: 0 = solvable/confirmed/holds,
 1 = unsolvable/refuted/violated or a strategy's hypothesis not met,
-2 = inconclusive (a budget ran out), 3 = usage error: a bad flag, name or
-parameter, or an input file that is missing, not JSON, or not of the
-expected shape. Commands return 0 or 1 for their own verdicts and raise
-for the rest; ``main`` is the one place that maps errors to exit codes.
+2 = inconclusive (a budget ran out, or memory did), 3 = usage error: a bad
+flag, name, parameter or budget, or an input file that is missing, not
+JSON, or not of the expected shape. Commands return 0 or 1 for their own
+verdicts and raise for the rest; ``main`` is the one place that maps
+errors to exit codes.
 
 ``construct`` has a subcommand per family in ``FAMILIES`` and ``verify`` one
 per claim in ``_VERIFY_CLAIMS``, each taking only the flags it reads, which
@@ -91,6 +92,14 @@ def _read_json(path: str, parse: Callable):
                                    f"{type(exc).__name__}: {exc}") from None
 
 
+def _distribution(data) -> Distribution:
+    """A distribution file, or a witness file of ``pebbling-number
+    --witness-out``, which holds one under ``distribution``."""
+    if isinstance(data, dict) and "distribution" in data:
+        data = data["distribution"]
+    return Distribution.from_json_dict(data)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -121,7 +130,7 @@ def cmd_construct(args) -> int:
 def cmd_solve(args) -> int:
     g = _read_json(args.graph, Graph.from_json_dict)
     target = parse_label(args.target)
-    d = _read_json(args.dist, Distribution.from_json_dict)
+    d = _read_json(args.dist, _distribution)
     if args.replay:
         seq = _read_json(args.replay, MoveSequence.from_json_list)
         final = replay(g, d, seq)  # raises on an illegal move
@@ -177,7 +186,7 @@ _STRATEGY_ALIASES = {
 def cmd_explain(args) -> int:
     name = _STRATEGY_ALIASES[args.strategy]
     g = _read_json(args.graph, Graph.from_json_dict)
-    d = _read_json(args.dist, Distribution.from_json_dict)
+    d = _read_json(args.dist, _distribution)
     target = parse_label(args.target)
     t = args.t
     if t != 1 and name in ("middle-path", "product"):
@@ -363,6 +372,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.func(args)
     except BudgetExceeded as exc:
         print(f"inconclusive: {exc}")
+        return EXIT_INCONCLUSIVE
+    except MemoryError:
+        print("inconclusive: out of memory")
         return EXIT_INCONCLUSIVE
     except PreconditionNotMet as exc:
         print(f"hypothesis not met: {exc}")

@@ -8,6 +8,14 @@ explicit stack, so no input can exhaust Python's recursion limit. States
 are count vectors packed into ints, and every move carries precomputed
 changes to the packed key and to the potential, so a search node costs a
 few integer operations instead of rebuilding either from the vector.
+Beside the search runs a refutation, ``_closure``, that grows the set of
+distributions reachable from the root one level (one move) at a time and
+counts the states the search counts. The search resumes it at
+CLOSURE_FIRST nodes and each doubling, up to CLOSURE_RATIO times its own
+nodes; when it exhausts the set, the search returns its count, the count
+the search would reach, and charges the rest to the budget. It refutes
+only within the budget's nodes and checks the deadline as it goes, so
+verdicts, witnesses, node counts and budget stops are the search's alone.
 
 Pebbling and t-pebbling numbers come from a dynamic program over the
 unsolvable distributions, not from the solver. They form a down-set
@@ -41,12 +49,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Generator, Iterable, Iterator, Optional, Sequence
 
 from .errors import (BudgetExceeded, InsufficientPebbles, InvalidParameter,
                      NotAdjacent, UnknownVertex)
@@ -193,11 +202,19 @@ TIME_BUDGET_ENV = "PEBBLEKIT_TIME_BUDGET"
 
 
 class Budget:
-    """Caps on explored nodes and wall time; exhaustion raises, never guesses."""
+    """Caps on explored nodes and wall time; exhaustion raises, never guesses.
+
+    A cap of 0 nodes or 0 seconds is spent at the first node; None is no
+    cap. A negative cap, or seconds that are NaN, is an InvalidParameter.
+    """
 
     __slots__ = ("node_cap", "deadline", "nodes", "t0")
 
     def __init__(self, node_cap: Optional[int] = None, seconds: Optional[float] = None):
+        if node_cap is not None and node_cap < 0:
+            raise InvalidParameter(f"node budget must be >= 0, got {node_cap}")
+        if seconds is not None and not seconds >= 0:  # negative, or NaN
+            raise InvalidParameter(f"time budget must be >= 0 seconds, got {seconds}")
         self.node_cap = node_cap
         self.t0 = time.monotonic()
         self.deadline = None if seconds is None else self.t0 + seconds
@@ -205,9 +222,19 @@ class Budget:
 
     @classmethod
     def from_env(cls) -> "Budget":
-        nodes = int(os.environ.get(NODE_BUDGET_ENV, DEFAULT_NODE_BUDGET))
+        nodes = os.environ.get(NODE_BUDGET_ENV)
         seconds = os.environ.get(TIME_BUDGET_ENV)
-        return cls(nodes, float(seconds) if seconds else None)
+        try:
+            node_cap = DEFAULT_NODE_BUDGET if nodes is None else int(nodes)
+        except ValueError:
+            raise InvalidParameter(f"{NODE_BUDGET_ENV} needs an integer, "
+                                   f"got {nodes!r}") from None
+        try:
+            secs = float(seconds) if seconds else None
+        except ValueError:
+            raise InvalidParameter(f"{TIME_BUDGET_ENV} needs a number of seconds, "
+                                   f"got {seconds!r}") from None
+        return cls(node_cap, secs)
 
     def charge(self, n: int = 1) -> None:
         self.nodes += n
@@ -286,6 +313,89 @@ def _greedy_counts(g: Graph, counts: list[int], target: int, t: int,
     return moves
 
 
+# The search resumes the closure when its node count reaches CLOSURE_FIRST
+# and at each doubling after, until the closure has generated CLOSURE_RATIO
+# times the search's nodes; the closure checks the deadline at least every
+# CLOSURE_DEADLINE_EVERY nodes it generates.
+CLOSURE_FIRST = 256
+CLOSURE_RATIO = 8
+CLOSURE_DEADLINE_EVERY = 1024
+
+
+def _closure(g: Graph, counts: list[int], target: int, t: int, dist: Sequence[int],
+             weights: Sequence[int], goal: int, budget: Optional[Budget],
+             room: float) -> Generator[None, int, Optional[int]]:
+    """Refute t-solvability by growing the distributions reachable from
+    counts one level at a time, level j being those j moves away.
+
+    Every move removes exactly one pebble, so each distribution sits in one
+    level and only two levels are held. Keys are packed as the search packs
+    them, and the rich vertices of a distribution are walked with a
+    ``high`` mask, as in ``_downset_dp``, the target's field left out
+    because the target is never a source. Every distinct child of an
+    expanded distribution is a node, children below the potential goal
+    included, and only those at or above the goal are expanded: the set the
+    search counts, so on an unsolvable root the two counts are equal.
+
+    Primed with next(), then resumed with send(limit): it runs until it has
+    generated at least limit nodes, and yields. It returns its node count
+    when no level is left (unsolvable). It returns None when a rich vertex
+    can pay the whole toll alone, c >> dist[v] >= t - c_target, which also
+    covers every move that brings the target to t; and when its count passes
+    room, the nodes left in the budget. Both stops leave the search to
+    finish alone. It charges no nodes, but calls budget.charge(0) at least
+    every CLOSURE_DEADLINE_EVERY nodes so a deadline still stops it.
+    """
+    n = len(counts)
+    bits = sum(counts).bit_length()
+    units = [1 << bits * v for v in range(n)]
+    fields = [((1 << bits) - 1) * e for e in units]
+    high = sum(f - e for v, (f, e) in enumerate(zip(fields, units)) if v != target)
+    # per bit length of key & high: the field of the vertex holding that bit,
+    # where its pile starts paying the toll alone, its moves as changes to
+    # the key and to the potential, and the mask of the fields below it
+    rich: list = [None]
+    for v in range(n):
+        out = [(2 * units[v] - units[b], 2 * weights[v] - weights[b]) for b in g.neighbors[v]]
+        rich += [(fields[v], bits * v + dist[v], out, units[v] - 1)] * bits
+    fan = sum(len(g.neighbors[v]) for v in range(n) if v != target)
+    step = max(1, CLOSURE_DEADLINE_EVERY - fan)
+    tfield, tshift = fields[target], bits * target
+    level = {sum(c << bits * v for v, c in enumerate(counts)):
+             sum(c * w for c, w in zip(counts, weights))}
+    nodes = checked = 1  # the root
+    limit = yield
+    while level:
+        nxt: dict[int, int] = {}
+        mark = min(limit, checked + step, room + 1) - nodes
+        for key, pot in level.items():
+            if pot < goal:
+                continue
+            need = t - ((key & tfield) >> tshift)
+            r = key & high
+            while r:
+                field_v, shift, out, below = rich[r.bit_length()]
+                if key & field_v >= need << shift:
+                    return None
+                for dkey, dpot in out:
+                    child = key - dkey
+                    if child not in nxt:
+                        nxt[child] = pot - dpot
+                r &= below
+            if len(nxt) >= mark:
+                checked = nodes + len(nxt)
+                if checked > room:
+                    return None
+                if budget is not None:
+                    budget.charge(0)
+                while checked >= limit:
+                    limit = yield
+                mark = min(limit, checked + step, room + 1) - nodes
+        nodes += len(nxt)
+        level = nxt
+    return nodes
+
+
 def _solve_counts(g: Graph, counts: list[int], target: int, t: int,
                   budget: Optional[Budget]) -> tuple[bool, Optional[list[tuple[int, int]]], int]:
     """Exact t-solvability on a count vector. Returns (solvable, moves, nodes)."""
@@ -355,11 +465,23 @@ def _solve_counts(g: Graph, counts: list[int], target: int, t: int,
             cand += tied[0] if len(tied) == 1 else sorted([m for ms in tied for m in ms])
         return iter(cand)
 
+    # Beside the search runs the closure, resumed at node CLOSURE_FIRST and
+    # each doubling. On an unsolvable root it reaches the search's final
+    # count N sooner, and the search returns (False, None, N) at once,
+    # charging the budget the N - nodes it has not charged yet. The closure
+    # refutes only within the nodes left in the budget (room), so a cap is
+    # spent where the search alone would spend it; when it finds the target
+    # reachable or passes the cap it is dropped, and the search, the only
+    # source of witnesses, finishes alone.
     key = sum(c << bits * v for v, c in enumerate(counts))  # the root: node 1
     failed: set[int] = set()
     nodes = 1
     if budget is not None:
         budget.charge()
+    room = (budget.node_cap - budget.nodes + nodes
+            if budget is not None and budget.node_cap is not None else math.inf)
+    closure: Optional[Generator[None, int, Optional[int]]] = None
+    probe = CLOSURE_FIRST
     path: list[tuple[int, int]] = []
     stack = [(key, pot, children())]
     while stack:
@@ -374,6 +496,21 @@ def _solve_counts(g: Graph, counts: list[int], target: int, t: int,
             nodes += 1
             if budget is not None:
                 budget.charge()
+            if nodes == probe:
+                probe <<= 1
+                try:
+                    if closure is None:
+                        closure = _closure(g, counts, target, t, dist, weights,
+                                           goal, budget, room)
+                        next(closure)
+                    closure.send(CLOSURE_RATIO * nodes)
+                except StopIteration as stop:
+                    if stop.value is None:
+                        probe = 0  # never again
+                    else:
+                        if budget is not None:
+                            budget.charge(stop.value - nodes)
+                        return False, None, stop.value
             if pot - dpot < goal:
                 failed.add(child)
                 continue

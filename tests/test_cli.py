@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from pebblekit import cli
 from pebblekit.cli import (_VERIFY_CLAIMS, EXIT_USAGE, FAMILIES, build_parser,
                            graph_from_spec, main)
 from pebblekit.graphs import (Graph, Original, cartesian_product, middle_cycle,
@@ -159,6 +160,56 @@ def test_pebbling_number_witness_is_unsolvable(tmp_path, capsys):
     assert run(["solve", "--graph", str(g), "--dist", str(d),
                 "--target", witness["target"]]) == 1
     assert capsys.readouterr().out.startswith("unsolvable")
+
+
+def test_solve_reads_the_witness_file_of_pebbling_number(tmp_path, capsys):
+    g = tmp_path / "p4.json"
+    w = tmp_path / "w.json"
+    assert run(["construct", "path", "--n", "4", "--out", str(g)]) == 0
+    assert run(["pebbling-number", "--graph", str(g), "--witness-out", str(w)]) == 0
+    capsys.readouterr()
+    target = json.loads(w.read_text())["target"]
+    assert run(["solve", "--graph", str(g), "--dist", str(w), "--target", target]) == 1
+    assert capsys.readouterr().out.startswith("unsolvable")
+
+
+@pytest.mark.parametrize("flags, env, named", [
+    (["--budget-nodes", "-5"], {}, None),
+    (["--budget-seconds", "-1"], {}, None),
+    (["--budget-seconds", "nan"], {}, None),
+    ([], {"PEBBLEKIT_NODE_BUDGET": "abc"}, "PEBBLEKIT_NODE_BUDGET"),
+    ([], {"PEBBLEKIT_NODE_BUDGET": "-1"}, None),
+    ([], {"PEBBLEKIT_TIME_BUDGET": "soon"}, "PEBBLEKIT_TIME_BUDGET"),
+    ([], {"PEBBLEKIT_TIME_BUDGET": "-1"}, None),
+], ids=["negative-nodes", "negative-seconds", "nan-seconds", "unparsable-node-env",
+        "negative-node-env", "unparsable-time-env", "negative-time-env"])
+def test_a_bad_budget_is_a_usage_error(tmp_path, capsys, monkeypatch, flags, env, named):
+    # each of these once passed for a verdict: exit 1 with a traceback, or
+    # exit 2 with the budget "exhausted"
+    g = tmp_path / "p4.json"
+    assert run(["construct", "path", "--n", "4", "--out", str(g)]) == 0
+    capsys.readouterr()
+    monkeypatch.delenv("PEBBLEKIT_NODE_BUDGET", raising=False)
+    monkeypatch.delenv("PEBBLEKIT_TIME_BUDGET", raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert run(["pebbling-number", "--graph", str(g), *flags]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    if named is not None:
+        assert named in captured.err
+
+
+def test_out_of_memory_is_inconclusive(tmp_path, capsys, monkeypatch):
+    g = tmp_path / "p4.json"
+    assert run(["construct", "path", "--n", "4", "--out", str(g)]) == 0
+    capsys.readouterr()
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(cli, "compute_pebbling", out_of_memory)
+    assert run(["pebbling-number", "--graph", str(g)]) == 2
+    assert capsys.readouterr().out == "inconclusive: out of memory\n"
 
 
 def test_solve_replay_short_of_t(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,8 +12,8 @@ from typing import Optional
 import pytest
 
 import pebblekit
-from pebblekit.engine import (Budget, Distribution, Move, MoveSequence,
-                              SweepCheckpoint, _drain_route,
+from pebblekit.engine import (CLOSURE_FIRST, Budget, Distribution, Move,
+                              MoveSequence, SweepCheckpoint, _closure, _drain_route,
                               _greedy_counts, _solve_counts,
                               apply_move, compute_pebbling,
                               enumerate_distributions, is_solvable,
@@ -318,6 +319,133 @@ def test_search_budget_stops_at_the_same_node():
         with pytest.raises(BudgetExceeded) as exc:
             solve(g, d.vector(g), g.index_of(tgt), 1, Budget(node_cap=100))
         assert exc.value.nodes_explored == 101
+
+
+# -- the level-by-level closure beside the search ----------------------------
+
+def cor24_query():
+    """cor24_witness(6) at u(1,2): unsolvable, 1,686 search nodes."""
+    d, tgt = cor24_witness(6)
+    g = trimmed_middle_path(6)
+    return g, d.vector(g), g.index_of(tgt), 1
+
+
+def mc4_t2_query(extra=None):
+    """The f_2(M(C4), v0) witness {v1:1, v2:15, v3:1}: unsolvable, 1,256
+    search nodes; with a pebble added at vertex index 7, solvable in 1,552."""
+    g = middle_cycle(2)
+    vec = [0] * g.n
+    for i, c in ((1, 1), (2, 15), (3, 1)):
+        vec[g.index_of(Original(i))] = c
+    if extra is not None:
+        vec[extra] += 1
+    return g, vec, g.index_of(Original(0)), 2
+
+
+def test_search_matches_recursive_reference_past_the_closure_probe():
+    nodes = {}
+    for g, base, ti, t in (cor24_query(), mc4_t2_query()):
+        for v in [None, *range(g.n)]:
+            vec = list(base)
+            if v is not None:
+                vec[v] += 1
+            ok, _, nodes[g, v] = assert_same_search(g, vec, ti, t)
+    # both roots are refuted past the first probe, and two solvable
+    # neighbours run the closure before the search finds a witness
+    assert sorted(n for n in nodes.values() if n >= CLOSURE_FIRST) == [257, 1256, 1552, 1686]
+
+
+def closure_to_the_end(g, vec, ti, t, budget=None):
+    """Drive the closure alone with no limit: its node count, or None."""
+    dist = g.distances_from(ti)
+    ecc = max(dist)
+    weights = [1 << (ecc - d) for d in dist]
+    run = _closure(g, list(vec), ti, t, dist, weights, t << ecc, budget, math.inf)
+    next(run)
+    with pytest.raises(StopIteration) as stop:
+        run.send(math.inf)
+    return stop.value.value
+
+
+def test_closure_counts_the_search_nodes_and_finds_solvable_roots():
+    # on every root the search's shortcuts leave open: the search's count
+    # when it refutes, and None (solvable) when it does not
+    runs = refuted = 0
+    for g in (path(4), cycle(5), complete(4), trimmed_middle_path(4),
+              middle_cycle(2)):
+        for k in range(7):
+            for vec in weak_compositions(k, g.n):
+                for ti in range(g.n):
+                    dist = g.distances_from(ti)
+                    pot = sum(c << (max(dist) - d) for c, d in zip(vec, dist))
+                    for t in (1, 2, 3):
+                        if vec[ti] >= t or pot < t << max(dist):
+                            continue
+                        ok, _, nodes = _solve_counts(g, list(vec), ti, t, None)
+                        assert closure_to_the_end(g, vec, ti, t) == (
+                            None if ok else nodes), (g, vec, ti, t)
+                        runs += 1
+                        refuted += not ok
+    assert refuted > 100 and runs > refuted
+
+
+def test_closure_checks_the_deadline_and_charges_no_nodes():
+    g, vec, ti, t = cor24_query()
+    budget = Budget(seconds=0)
+    with pytest.raises(BudgetExceeded, match="time budget exhausted"):
+        closure_to_the_end(g, vec, ti, t, budget)
+    assert budget.nodes == 0
+
+
+def budget_outcome(solve, query, cap, spent=0):
+    """What solve returns under a node cap, and what the budget holds after;
+    spent nodes are charged first, as by an earlier call."""
+    g, vec, ti, t = query
+    budget = Budget(node_cap=cap)
+    budget.nodes = spent
+    try:
+        return solve(g, list(vec), ti, t, budget), budget.nodes
+    except BudgetExceeded as exc:
+        return str(exc), exc.nodes_explored, budget.nodes
+
+
+@pytest.mark.parametrize("query, cap, spent, expected", [
+    (cor24_query(), 1686, 0, 1686),
+    (cor24_query(), 1685, 0, 1686),
+    (cor24_query(), 300, 0, 301),
+    (cor24_query(), 2000, 314, 2000),
+    (cor24_query(), 2000, 315, 2001),
+    (mc4_t2_query(7), 1552, 0, 1552),
+    (mc4_t2_query(7), 1551, 0, 1552),
+], ids=["cor24-cap-1686", "cor24-cap-1685", "cor24-cap-300", "cor24-shared-room",
+        "cor24-shared-one-short", "solvable-cap-1552", "solvable-cap-1551"])
+def test_closure_spends_a_node_cap_where_the_search_alone_does(query, cap, spent,
+                                                               expected):
+    got = budget_outcome(_solve_counts, query, cap, spent)
+    assert got == budget_outcome(recursive_solve_counts, query, cap, spent)
+    assert got[-1] == expected
+
+
+def lemma_26_lower_side_at_n4():
+    """M(C8) with 2^5 + 8 - 3 = 37 pebbles: 31 on v4 and 1 on each other
+    original but the target v0."""
+    g = middle_cycle(4)
+    counts = {Original(i): 1 for i in (1, 2, 3, 5, 6, 7)}
+    counts[Original(4)] = 31
+    return g, Distribution(counts), Original(0)
+
+
+def test_a_time_budget_stops_the_mc8_refutation():
+    g, d, tgt = lemma_26_lower_side_at_n4()
+    with pytest.raises(BudgetExceeded, match="time budget exhausted"):
+        is_solvable(g, d, tgt, budget=Budget(seconds=0.2))
+
+
+def test_lemma_26_lower_side_at_n4():
+    # f(M(C8)) > 37, refuted with the count the search alone reaches
+    g, d, tgt = lemma_26_lower_side_at_n4()
+    out = is_solvable(g, d, tgt)
+    assert not out.solvable and out.nodes_explored == 371_897
 
 
 # -- enumeration -------------------------------------------------------------
@@ -712,6 +840,24 @@ def test_a_zero_time_budget_is_spent_at_the_first_node():
     # a cap of 0 seconds is a cap, as a cap of 0 nodes is; no cap is None
     with pytest.raises(BudgetExceeded, match="time budget exhausted"):
         compute_pebbling(path(3), budget=Budget(seconds=0))
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(node_cap=-5), dict(seconds=-1), dict(seconds=float("nan")),
+], ids=["negative-nodes", "negative-seconds", "nan-seconds"])
+def test_a_negative_or_nan_budget_is_invalid(kwargs):
+    # once a cap spent at the first node, reported as "inconclusive"
+    with pytest.raises(InvalidParameter):
+        Budget(**kwargs)
+
+
+@pytest.mark.parametrize("var", ["PEBBLEKIT_NODE_BUDGET", "PEBBLEKIT_TIME_BUDGET"])
+def test_budget_from_env_names_an_unparsable_variable(monkeypatch, var):
+    monkeypatch.delenv("PEBBLEKIT_NODE_BUDGET", raising=False)
+    monkeypatch.delenv("PEBBLEKIT_TIME_BUDGET", raising=False)
+    monkeypatch.setenv(var, "abc")
+    with pytest.raises(InvalidParameter, match=var):
+        Budget.from_env()
 
 
 def test_lower_bound_certified():
