@@ -8,10 +8,9 @@ checked against the exact solver.
 
 from .engine import (Budget, Distribution, Move, MoveSequence, PebblingReport,
                      SolveOutcome, SweepCheckpoint, SweepResult, apply_move,
-                     compute_pebbling, enumerate_distributions, is_solvable,
-                     lower_bound, pebbling_number, pebbling_number_vertex,
-                     potential, replay, sweep_level, t_pebbling_number,
-                     weak_compositions)
+                     compute_pebbling, is_solvable, lower_bound,
+                     pebbling_number, pebbling_number_vertex, potential,
+                     replay, sweep_level, t_pebbling_number, weak_compositions)
 from .errors import (BudgetExceeded, DisconnectedGraph, InsufficientPebbles,
                      InvalidParameter, NotAdjacent, PebbleError,
                      PreconditionNotMet, UnknownVertex)
@@ -29,9 +28,9 @@ __version__ = "0.1.0"
 __all__ = [
     "Budget", "Distribution", "Move", "MoveSequence", "PebblingReport",
     "SolveOutcome", "SweepCheckpoint", "SweepResult", "apply_move",
-    "compute_pebbling", "enumerate_distributions", "is_solvable",
-    "lower_bound", "pebbling_number", "pebbling_number_vertex", "potential",
-    "replay", "sweep_level", "t_pebbling_number", "weak_compositions",
+    "compute_pebbling", "is_solvable", "lower_bound", "pebbling_number",
+    "pebbling_number_vertex", "potential", "replay", "sweep_level",
+    "t_pebbling_number", "weak_compositions",
     "BudgetExceeded", "DisconnectedGraph", "InsufficientPebbles",
     "InvalidParameter", "NotAdjacent", "PebbleError", "PreconditionNotMet",
     "UnknownVertex",

@@ -34,10 +34,9 @@ EXIT_USAGE = 3
 
 
 def _budget(args) -> Budget:
-    """The budget the flags ask for; the environment's when neither is given."""
-    if args.budget_nodes is None and args.budget_seconds is None:
-        return Budget.from_env()
-    return Budget(args.budget_nodes, args.budget_seconds)
+    """Each cap from its flag, else from its environment variable, else its
+    default."""
+    return Budget._resolve(args.budget_nodes, args.budget_seconds)
 
 
 def _int(text: str, what: str) -> int:
@@ -45,6 +44,13 @@ def _int(text: str, what: str) -> int:
         return int(text)
     except ValueError:
         raise InvalidParameter(f"{what} needs an integer, got {text!r}") from None
+
+
+def _positive(text: str) -> int:
+    """The argparse type of every --t: an integer >= 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"needs an integer >= 1, got {text!r}")
+    return int(text)
 
 
 # ---------------------------------------------------------------------------
@@ -298,14 +304,15 @@ def build_parser() -> argparse.ArgumentParser:
     budget.add_argument("--budget-nodes", type=int,
                         help="cap on search nodes; pebbling-number charges one "
                              "per DP candidate (default: env or 5e6)")
-    budget.add_argument("--budget-seconds", type=float, help="wall-time cap in seconds")
+    budget.add_argument("--budget-seconds", type=float,
+                        help="wall-time cap in seconds (default: env or none)")
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", help="write graph JSON here")
     out.add_argument("--dot", help="also write DOT here")
     query = argparse.ArgumentParser(add_help=False)
     for flag in ("--graph", "--dist", "--target"):
         query.add_argument(flag, required=True)
-    query.add_argument("--t", type=int, default=1)
+    query.add_argument("--t", type=_positive, default=1)
 
     p = sub.add_parser("construct", help="build a named graph family")
     families = p.add_subparsers(dest="family", required=True)
@@ -332,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exact (t-)pebbling number")
     p.add_argument("--graph", required=True)
     p.add_argument("--targets", help="comma-separated labels (default: all vertices)")
-    p.add_argument("--t", type=int, default=1)
+    p.add_argument("--t", type=_positive, default=1)
     p.add_argument("--witness-out")
     p.add_argument("--checkpoint", help="resume file: keeps the last completed DP level "
                                         "per target, and a rerun continues from it")

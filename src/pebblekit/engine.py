@@ -58,7 +58,7 @@ from itertools import groupby
 from typing import Generator, Iterable, Iterator, Optional, Sequence
 
 from .errors import (BudgetExceeded, InsufficientPebbles, InvalidParameter,
-                     NotAdjacent, UnknownVertex)
+                     NotAdjacent)
 from .graphs import Graph, VertexLabel, parse_label, target_orbits
 
 # ---------------------------------------------------------------------------
@@ -201,6 +201,17 @@ NODE_BUDGET_ENV = "PEBBLEKIT_NODE_BUDGET"
 TIME_BUDGET_ENV = "PEBBLEKIT_TIME_BUDGET"
 
 
+def _env_cap(name: str, parse, what: str, default):
+    """The cap environment variable name holds; default when unset or empty."""
+    text = os.environ.get(name)
+    if not text:
+        return default
+    try:
+        return parse(text)
+    except ValueError:
+        raise InvalidParameter(f"{name} needs {what}, got {text!r}") from None
+
+
 class Budget:
     """Caps on explored nodes and wall time; exhaustion raises, never guesses.
 
@@ -222,19 +233,19 @@ class Budget:
 
     @classmethod
     def from_env(cls) -> "Budget":
-        nodes = os.environ.get(NODE_BUDGET_ENV)
-        seconds = os.environ.get(TIME_BUDGET_ENV)
-        try:
-            node_cap = DEFAULT_NODE_BUDGET if nodes is None else int(nodes)
-        except ValueError:
-            raise InvalidParameter(f"{NODE_BUDGET_ENV} needs an integer, "
-                                   f"got {nodes!r}") from None
-        try:
-            secs = float(seconds) if seconds else None
-        except ValueError:
-            raise InvalidParameter(f"{TIME_BUDGET_ENV} needs a number of seconds, "
-                                   f"got {seconds!r}") from None
-        return cls(node_cap, secs)
+        """The caps the environment sets, or their defaults."""
+        return cls._resolve(None, None)
+
+    @classmethod
+    def _resolve(cls, node_cap: Optional[int], seconds: Optional[float]) -> "Budget":
+        """Each cap on its own: the one given, else its environment variable
+        (an empty one counts as unset), else its default: DEFAULT_NODE_BUDGET
+        nodes and no time cap."""
+        if node_cap is None:
+            node_cap = _env_cap(NODE_BUDGET_ENV, int, "an integer", DEFAULT_NODE_BUDGET)
+        if seconds is None:
+            seconds = _env_cap(TIME_BUDGET_ENV, float, "a number of seconds", None)
+        return cls(node_cap, seconds)
 
     def charge(self, n: int = 1) -> None:
         self.nodes += n
@@ -540,9 +551,6 @@ def is_solvable(g: Graph, d: Distribution, target: VertexLabel, t: int = 1,
     if t < 1:
         raise InvalidParameter(f"t must be >= 1, got {t}")
     ti = g.index_of(target)
-    for lab in d.counts:
-        if lab not in g:
-            raise UnknownVertex(f"distribution mentions unknown vertex {lab}")
     ok, moves, nodes = _solve_counts(g, d.vector(g), ti, t, budget)
     witness = _moves_to_sequence(g, moves) if ok else None
     return SolveOutcome(ok, witness, nodes)
@@ -575,12 +583,6 @@ def weak_compositions(k: int, parts: int) -> Iterator[tuple[int, ...]]:
         row[h + 1] += 1
         row[0] = s - 1
         h = 0 if s > 1 else h + 1
-
-
-def enumerate_distributions(g: Graph, k: int) -> Iterator[Distribution]:
-    """Every distribution of exactly k pebbles on V(g), colex order, lazily."""
-    for vec in weak_compositions(k, g.n):
-        yield Distribution.from_vector(g, vec)
 
 
 # The benchmark's tracer times the enumeration under this name; it can go

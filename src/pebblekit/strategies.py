@@ -10,9 +10,9 @@ Strategies compute on count vectors indexed like their graph's vertices.
 A sub-argument (the mirrored trimmed path, a rotated or reflected half of
 M(C_2n), a product fiber) runs on its own count vector in its own frame,
 and its moves come back to the caller through one index map, frame index
-to caller index (``_replay_frame``). Each frame is computed by index
-arithmetic on the family's u/v index tables (``_tmp_tables``,
-``_mc_tables``). Labels appear only where a public function reads its
+to caller index; one runner, ``_in_frame``, does both. Each frame is
+computed by index arithmetic on the family's u/v index tables
+(``_tmp_tables``, ``_mc_tables``). Labels appear only where a public function reads its
 distribution and target and builds its report.
 
 Weight bookkeeping convention for a path v_1..v_n with target v_k: a
@@ -91,15 +91,19 @@ class PathContext:
 # back to the caller through an index map (frame index -> caller index)
 
 
-def _replay_frame(counts: list[int], frame: Sequence[int],
-                  sub: list[tuple[int, int]], moves: list[tuple[int, int]]) -> None:
-    """Replay moves computed in a frame onto the caller's counts and moves;
-    frame[i] is the caller's index of frame index i."""
+def _in_frame(counts: list[int], frame: Sequence[int], sub_counts: list[int],
+              moves: list[tuple[int, int]], solve, n: int, *args):
+    """Run solve(n, sub_counts, *args, sub) on the frame's own count vector,
+    replay its moves sub onto the caller's counts and moves, and return what
+    solve returns; frame[i] is the caller's index of frame index i."""
+    sub: list[tuple[int, int]] = []
+    out = solve(n, sub_counts, *args, sub)
     for a, b in sub:
         a, b = frame[a], frame[b]
         counts[a] -= 2
         counts[b] += 1
         moves.append((a, b))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +236,8 @@ def _tmp_solve(n: int, counts: list[int], target: int,
     if 2 * k < n + 1:
         # mirror so the left side is the long one
         frame = _tmp_mirror(n)
-        sub: list[tuple[int, int]] = []
-        tag = _tmp_solve(n, [counts[i] for i in frame], v[n + 1 - k], sub)
-        _replay_frame(counts, frame, sub, moves)
-        return tag
+        return _in_frame(counts, frame, [counts[i] for i in frame], moves,
+                         _tmp_solve, n, v[n + 1 - k])
     for m in range(2, n):
         if m != k:
             _push_half(counts, v[m], u[m] if m < k else u[m - 1], moves)
@@ -386,9 +388,7 @@ def _mc_half_round(n: int, counts: list[int], use_b: bool,
         budget -= take
         if budget == 0:
             break
-    sub: list[tuple[int, int]] = []
-    _tmp_solve(m, sub_counts, ut[1], sub)
-    _replay_frame(counts, frame, sub, moves)
+    _in_frame(counts, frame, sub_counts, moves, _tmp_solve, m, ut[1])
 
 
 def _mc_solve_u0(n: int, counts: list[int], t: int,
@@ -431,29 +431,25 @@ def _mc_solve_v0(n: int, counts: list[int], t: int,
     side_b = sum(counts[u[i]] for i in range(n, 2 * n)) \
         + sum(counts[v[i]] for i in range(n + 1, 2 * n))
     frame = _mc_perm(n, -1 if side_b > side_a else 1, 0)
-    sub: list[tuple[int, int]] = []
-    tag = _mc_v0_oriented(n, [counts[i] for i in frame], need, sub)
-    _replay_frame(counts, frame, sub, moves)
-    return tag
+    return _in_frame(counts, frame, [counts[i] for i in frame], moves,
+                     _mc_v0_oriented, n, need)
 
 
 def _mc_v0_oriented(n: int, counts: list[int], need: int,
                     moves: list[tuple[int, int]]) -> str:
     u, v = _mc_tables(n)
     spine_l = [v[n]] + [u[i] for i in range(n - 1, -1, -1)] + [v[0]]
-    goal = need << (n + 1)
-    if counts[v[n]] >= goal:
-        _collect_indices(counts, spine_l, len(spine_l), need, moves)
-        return "v-target:spine"
-    h = goal - counts[v[n]]
-    q = sum(counts[u[i]] for i in range(n))
-    if 2 * q >= h:  # q >= ceil(h/2)
-        _collect_indices(counts, spine_l, len(spine_l), need, moves)
-        return "v-target:q-large"
-    for j in range(1, n):
-        _push_half(counts, v[j], u[j - 1], moves)
+    h = (need << (n + 1)) - counts[v[n]]
+    if h <= 0:
+        tag = "v-target:spine"
+    elif 2 * sum(counts[u[i]] for i in range(n)) >= h:  # q >= ceil(h/2)
+        tag = "v-target:q-large"
+    else:
+        tag = "v-target:topup"
+        for j in range(1, n):
+            _push_half(counts, v[j], u[j - 1], moves)
     _collect_indices(counts, spine_l, len(spine_l), need, moves)
-    return "v-target:topup"
+    return tag
 
 
 def _mc_strategy(n: int, counts: list[int], target: int, t: int,
@@ -471,10 +467,7 @@ def _mc_strategy(n: int, counts: list[int], target: int, t: int,
         frame, solve = _mc_perm(n, 1, v.index(target)), _mc_solve_v0
     else:
         frame, solve = _mc_perm(n, 1, u.index(target)), _mc_solve_u0
-    sub: list[tuple[int, int]] = []
-    tag = solve(n, [counts[i] for i in frame], t, sub)
-    _replay_frame(counts, frame, sub, moves)
-    return tag
+    return _in_frame(counts, frame, [counts[i] for i in frame], moves, solve, n, t)
 
 
 def middle_cycle_t_strategy(n: int, d: Distribution, target: VertexLabel,
@@ -517,26 +510,13 @@ def product_collection_strategy(gp: Graph, d: Distribution,
         raise InvalidParameter("target must be a Pair vertex")
     if not all(isinstance(lab, Pair) for lab in gp.vertices):
         raise InvalidParameter("product strategy expects Pair-labelled vertices")
-    left = {lab.left for lab in gp.vertices}
-    right = {lab.right for lab in gp.vertices}
-    if len(left) % 4 or len(right) % 4:
-        raise InvalidParameter("factors are not even-cycle middle graphs")
-    n, m = len(left) // 4, len(right) // 4
-    gl, gr = _mc_graph(n), _mc_graph(m)
-    if left != set(gl.vertices) or right != set(gr.vertices):
-        raise InvalidParameter("factors are not even-cycle middle graphs")
-    # pos[p]: the index x * |V(gr)| + y of gp's vertex p in the product of
-    # the factors' own graphs, whose edges gp must have, not only its labels
-    canon = _mc_product(n, m)
-    pos = [canon.index_of(lab) for lab in gp.vertices]
-    edges = {(pos[a], pos[b]) if pos[a] < pos[b] else (pos[b], pos[a])
-             for a, b in gp.edges}
-    if gp.n != canon.n or edges != canon.edges:
-        raise InvalidParameter("graph is not the Cartesian product of its factors")
-    nr = gr.n
-    cells = [0] * gp.n  # the inverse of pos
-    for p, c in enumerate(pos):
-        cells[c] = p
+    n = len({lab.left for lab in gp.vertices}) // 4
+    m = len({lab.right for lab in gp.vertices}) // 4
+    # gp must be the product as cartesian_product builds it, vertex order
+    # included: vertex x * |V(M(C_2m))| + y is the pair (x, y) of the factors
+    if min(n, m) < 2 or gp.n != 16 * n * m or gp != _mc_product(n, m):
+        raise InvalidParameter("graph is not M(C_2n) x M(C_2m) in cartesian_product's order")
+    gl, nr = _mc_graph(n), 4 * m
     fn, fm = mc_pebbling_bound(n), mc_pebbling_bound(m)
     if d.total < fn * fm:
         raise PreconditionNotMet(f"{d.total} pebbles, hypothesis needs {fn * fm}")
@@ -545,23 +525,21 @@ def product_collection_strategy(gp: Graph, d: Distribution,
         notes.append("guarantee-void: outside the proven regime "
                      "(needs both halves >= 5 and size gap >= 2)")
     ti = gp.index_of(target)
-    a, b = divmod(pos[ti], nr)
+    a, b = divmod(ti, nr)
     counts = d.vector(gp)
     moves: list[tuple[int, int]] = []
 
-    def row(x: int) -> list[int]:
-        return cells[x * nr:(x + 1) * nr]
+    def row(x: int) -> range:
+        return range(x * nr, (x + 1) * nr)
 
-    def fiber(k: int, frame: list[int], target: int, t: int) -> int:
+    def fiber(k: int, frame: range, target: int, t: int) -> int:
         """Run the M(C_{2k}) argument in the fiber whose index map is frame;
         returns the pebbles its target then holds."""
         sub_counts = [counts[p] for p in frame]
-        sub: list[tuple[int, int]] = []
-        _mc_strategy(k, sub_counts, target, t, sub)
-        _replay_frame(counts, frame, sub, moves)
+        _in_frame(counts, frame, sub_counts, moves, _mc_strategy, k, target, t)
         return sub_counts[target]
 
-    column = cells[b::nr]
+    column = range(b, gp.n, nr)
     if sum(counts[p] for p in row(a)) >= fm:
         fiber(m, row(a), b, 1)
         tag = "fiber-direct:row"
@@ -596,6 +574,8 @@ def greedy_solver(g: Graph, d: Distribution, target: VertexLabel,
                   t: int = 1) -> StrategyReport:
     """Repeatedly move from the richest vertex one step along a shortest
     path toward the target. Failure is inconclusive, never a proof."""
+    if t < 1:
+        raise InvalidParameter(f"t must be >= 1, got {t}")
     ti = g.index_of(target)
     counts = d.vector(g)
     dist = g.distances_from(ti)

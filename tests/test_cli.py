@@ -200,6 +200,52 @@ def test_a_bad_budget_is_a_usage_error(tmp_path, capsys, monkeypatch, flags, env
         assert named in captured.err
 
 
+@pytest.mark.parametrize("flags, env, node_cap, timed", [
+    (["--budget-seconds", "5"], {}, 5_000_000, True),
+    (["--budget-seconds", "5"], {"PEBBLEKIT_NODE_BUDGET": "7"}, 7, True),
+    (["--budget-nodes", "9"], {"PEBBLEKIT_TIME_BUDGET": "5"}, 9, True),
+    (["--budget-nodes", "9"], {"PEBBLEKIT_NODE_BUDGET": "abc"}, 9, False),
+    ([], {"PEBBLEKIT_NODE_BUDGET": ""}, 5_000_000, False),
+    ([], {"PEBBLEKIT_NODE_BUDGET": "", "PEBBLEKIT_TIME_BUDGET": ""}, 5_000_000, False),
+], ids=["seconds-keep-default-nodes", "seconds-keep-env-nodes", "nodes-keep-env-seconds",
+        "nodes-flag-over-bad-env", "empty-node-env", "both-env-empty"])
+def test_each_budget_cap_is_resolved_on_its_own(monkeypatch, flags, env, node_cap, timed):
+    # a flag sets its own cap only: the other comes from its environment
+    # variable, else its default, and an empty variable counts as unset
+    monkeypatch.delenv("PEBBLEKIT_NODE_BUDGET", raising=False)
+    monkeypatch.delenv("PEBBLEKIT_TIME_BUDGET", raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    args = build_parser().parse_args(["pebbling-number", "--graph", "g.json", *flags])
+    budget = cli._budget(args)
+    assert budget.node_cap == node_cap
+    assert (budget.deadline is not None) == timed
+
+
+QUERY_P3 = ["--graph", "{g}", "--dist", "{d}", "--target", "v3"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", *QUERY_P3, "--replay", "{w}", "--t", "0"],
+    ["solve", *QUERY_P3, "--t", "-1"],
+    ["explain", "--strategy", "greedy", *QUERY_P3, "--t", "0"],
+    ["explain", "--strategy", "greedy", *QUERY_P3, "--t", "-2"],
+    ["explain", "--strategy", "greedy", *QUERY_P3, "--t", "two"],
+    ["pebbling-number", "--graph", "{g}", "--t", "0"],
+], ids=["replay-t0", "solve-t-1", "greedy-t0", "greedy-t-2", "greedy-t-text",
+        "pebbling-number-t0"])
+def test_t_below_one_is_a_usage_error(tmp_path, capsys, argv):
+    # a replay or a greedy run once passed t = 0 as a verdict, exit 0
+    g = tmp_path / "p3.json"
+    assert run(["construct", "path", "--n", "3", "--out", str(g)]) == 0
+    w = tmp_path / "w.json"
+    w.write_text("[]")
+    d = dist_file(tmp_path, {"v1": 4})
+    capsys.readouterr()
+    assert run([arg.format(g=g, d=d, w=w) for arg in argv]) == EXIT_USAGE
+    assert "--t: needs an integer >= 1" in capsys.readouterr().err
+
+
 def test_out_of_memory_is_inconclusive(tmp_path, capsys, monkeypatch):
     g = tmp_path / "p4.json"
     assert run(["construct", "path", "--n", "4", "--out", str(g)]) == 0
@@ -300,15 +346,19 @@ def test_explain_hypothesis_not_met(mc4, tmp_path, capsys):
 
 
 def test_explain_product_rejects_graph_that_is_not_the_product(tmp_path):
-    # the labels of M(C4) x M(C4) without the edges inside the (v0|.) row
+    # the labels of M(C4) x M(C4) without the edges inside the (v0|.) row,
+    # and the product with its vertices listed in reverse
     gp = cartesian_product(middle_cycle(2), middle_cycle(2))
     in_row = {i for i, lab in enumerate(gp.vertices) if lab.left == Original(0)}
-    g = tmp_path / "g.json"
-    g.write_text(Graph(gp.vertices, [(a, b) for a, b in gp.edges
-                                     if not (a in in_row and b in in_row)]).to_json())
+    last = gp.n - 1
     d = dist_file(tmp_path, {"(v0|v3)": 100})
-    assert run(["explain", "--strategy", "product", "--graph", str(g),
-                "--dist", str(d), "--target", "(v0|v1)"]) == 3
+    g = tmp_path / "g.json"
+    for wrong in (Graph(gp.vertices, [(a, b) for a, b in gp.edges
+                                      if not (a in in_row and b in in_row)]),
+                  Graph(gp.vertices[::-1], [(last - a, last - b) for a, b in gp.edges])):
+        g.write_text(wrong.to_json())
+        assert run(["explain", "--strategy", "product", "--graph", str(g),
+                    "--dist", str(d), "--target", "(v0|v1)"]) == 3
 
 
 def test_explain_unknown_strategy(mc4, tmp_path):

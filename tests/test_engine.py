@@ -16,7 +16,7 @@ from pebblekit.engine import (CLOSURE_FIRST, Budget, Distribution, Move,
                               MoveSequence, SweepCheckpoint, _closure, _drain_route,
                               _greedy_counts, _solve_counts,
                               apply_move, compute_pebbling,
-                              enumerate_distributions, is_solvable,
+                              is_solvable,
                               lower_bound, pebbling_number,
                               pebbling_number_vertex, potential, replay,
                               sweep_level, t_pebbling_number,
@@ -488,13 +488,6 @@ def test_weak_compositions_reject_bad_input_and_take_many_parts():
     assert list(weak_compositions(0, 3)) == [(0, 0, 0)]
 
 
-def test_enumerate_distributions():
-    g = path(2)
-    dists = list(enumerate_distributions(g, 2))
-    assert len(dists) == 3
-    assert all(d.total == 2 for d in dists)
-
-
 # -- sweeps and pebbling numbers ---------------------------------------------
 
 def test_sweep_level_finds_counterexample():
@@ -516,7 +509,7 @@ def test_sweep_level_returns_the_first_unsolvable_row():
     res = sweep_level(g, 7, Original(2))
     assert res.counterexample == Distribution(
         {Original(0): 1, Original(4): 1, Original(5): 5})
-    rows = list(enumerate_distributions(g, 7))
+    rows = [Distribution.from_vector(g, vec) for vec in weak_compositions(7, g.n)]
     assert rows.index(res.counterexample) == res.checked - 1
 
 

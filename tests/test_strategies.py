@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import numpy as np
 import pytest
 
@@ -337,14 +340,68 @@ def product_without_row_edges():
                                if not (a in in_row and b in in_row)])
 
 
+def reordered_product():
+    """M(C4) x M(C4) with its vertices listed in reverse: the same labelled
+    graph, but not in the order cartesian_product builds, on which index
+    rows and columns rest."""
+    gp = cartesian_product(middle_cycle(2), middle_cycle(2))
+    last = gp.n - 1
+    return Graph(gp.vertices[::-1], [(last - a, last - b) for a, b in gp.edges])
+
+
 def test_product_wrong_graph():
     with pytest.raises(InvalidParameter):
         product_collection_strategy(path(4), Distribution(), Original(1))
-    with pytest.raises(InvalidParameter):
-        product_collection_strategy(
-            product_without_row_edges(),
-            Distribution({Pair(Original(0), Original(3)): 100}),
-            Pair(Original(0), Original(1)))
+    for gp in (product_without_row_edges(), reordered_product()):
+        with pytest.raises(InvalidParameter):
+            product_collection_strategy(
+                gp, Distribution({Pair(Original(0), Original(3)): 100}),
+                Pair(Original(0), Original(1)))
+
+
+# -- frozen reports ------------------------------------------------------------
+
+def _floor_vector(rng, n, size, piles):
+    """size pebbles spread uniformly, or put in one to three piles."""
+    vec = [0] * n
+    if not piles:
+        for _ in range(size):
+            vec[rng.randrange(n)] += 1
+        return vec
+    where = rng.sample(range(n), rng.randint(1, 3))
+    cuts = sorted(rng.randint(0, size) for _ in range(len(where) - 1))
+    for v, lo, hi in zip(where, [0] + cuts, cuts + [size]):
+        vec[v] += hi - lo
+    return vec
+
+
+def test_strategy_reports_are_frozen():
+    # 900 seeded cases at the hypothesis floors: M(C4) at t = 1..3, M(C6)
+    # at t = 1, 2, M(C8), TMP(5..7) in rotation, and every 100th case on
+    # M(C4) x M(C4). The digest pins each report's verdict, count, case
+    # tag, notes and moves, so a refactor of the frames must keep them all.
+    mc = {n: middle_cycle(n) for n in (2, 3, 4)}
+    gp = cartesian_product(mc[2], mc[2])
+    families = [(mc[n], (t << (n + 1)) + 2 * n - 2,
+                 lambda d, x, n=n, t=t: middle_cycle_t_strategy(n, d, x, t))
+                for n, t in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1))]
+    families += [(trimmed_middle_path(n), (1 << (n - 2)) + n - 2,
+                  lambda d, x, n=n: middle_path_strategy(n, d, x)) for n in (5, 6, 7)]
+    product = (gp, 100, lambda d, x: product_collection_strategy(gp, d, x))
+    rng = random.Random(1)
+    h = hashlib.sha256()
+    product_tags = set()
+    for i in range(900):
+        g, size, run = product if i % 100 == 99 else families[i % len(families)]
+        vec = _floor_vector(rng, g.n, size, (i // len(families)) % 2 == 1)
+        rep = run(Distribution.from_vector(g, vec), g.vertices[rng.randrange(g.n)])
+        if g is gp:
+            product_tags.add(rep.rationale.split("[")[0])
+        h.update(repr((rep.succeeded, rep.delivered, rep.rationale, rep.notes,
+                       rep.sequence.to_json_list())).encode())
+    assert product_tags == {"fiber-direct:row", "fiber-direct:column", "extract"}
+    assert h.hexdigest() == \
+        "ea34c90162c2fdfb7dccf8bed42f120e6a9997b890d09a19c036d2e030465ea5"
 
 
 # -- greedy ------------------------------------------------------------------
@@ -363,3 +420,10 @@ def test_greedy_failure_is_inconclusive():
     assert not rep.succeeded
     assert rep.rationale == "greedy:stuck"
     assert len(rep.sequence) == 0
+
+
+@pytest.mark.parametrize("t", [0, -2])
+def test_greedy_rejects_t_below_one(t):
+    # as every other strategy does; it once reported success at t = 0
+    with pytest.raises(InvalidParameter):
+        greedy_solver(path(3), Distribution({Original(1): 4}), Original(3), t)
