@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, Optional
+from collections.abc import Callable
 
 from . import graphs, registry, strategies
 from .engine import (Budget, Distribution, MoveSequence, compute_pebbling,
@@ -265,7 +265,10 @@ def cmd_verify(args) -> int:
     name = _VERIFY_CLAIMS[args.claim]
     points = [{}]
     for pname in registry.CLAIMS[name].params:
-        values = _parse_range(f"--{pname}", getattr(args, pname))
+        text = getattr(args, pname)
+        values = _parse_range(f"--{pname}", text)
+        if pname == "t" and values[0] < 1:  # as every single-valued --t
+            raise InvalidParameter(f"--t: needs an integer >= 1, got {text!r}")
         points = [dict(pt, **{pname: v}) for pt in points for v in values]
     records = registry.check_claim(name, points, _budget(args), ledger)
     for rec in records:
@@ -369,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

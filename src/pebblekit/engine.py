@@ -52,14 +52,13 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from collections.abc import Generator, Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import groupby
-from typing import Generator, Iterable, Iterator, Optional, Sequence
 
 from .errors import (BudgetExceeded, InsufficientPebbles, InvalidParameter,
                      NotAdjacent)
-from .graphs import Graph, VertexLabel, parse_label, target_orbits
+from .graphs import Graph, VertexLabel, _Frozen, _Record, parse_label, target_orbits
 
 # ---------------------------------------------------------------------------
 # Distributions and moves
@@ -113,12 +112,22 @@ class Distribution:
         return f"Distribution({{{inner}}}, total={self.total})"
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(_Frozen):
     """One pebbling move: two pebbles leave ``src``, one lands on ``dst``."""
 
-    src: VertexLabel
-    dst: VertexLabel
+    _fields = ("src", "dst")
+
+    def __init__(self, src: VertexLabel, dst: VertexLabel):
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.src, self.dst) == (other.src, other.dst)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.src, self.dst))
 
     def __str__(self) -> str:
         return f"{self.src} -> {self.dst}"
@@ -221,7 +230,7 @@ class Budget:
 
     __slots__ = ("node_cap", "deadline", "nodes", "t0")
 
-    def __init__(self, node_cap: Optional[int] = None, seconds: Optional[float] = None):
+    def __init__(self, node_cap: int | None = None, seconds: float | None = None):
         if node_cap is not None and node_cap < 0:
             raise InvalidParameter(f"node budget must be >= 0, got {node_cap}")
         if seconds is not None and not seconds >= 0:  # negative, or NaN
@@ -237,7 +246,7 @@ class Budget:
         return cls._resolve(None, None)
 
     @classmethod
-    def _resolve(cls, node_cap: Optional[int], seconds: Optional[float]) -> "Budget":
+    def _resolve(cls, node_cap: int | None, seconds: float | None) -> "Budget":
         """Each cap on its own: the one given, else its environment variable
         (an empty one counts as unset), else its default: DEFAULT_NODE_BUDGET
         nodes and no time cap."""
@@ -263,11 +272,11 @@ class Budget:
 # Core solver (index/array form)
 
 
-@dataclass
-class SolveOutcome:
-    solvable: bool
-    witness: Optional[MoveSequence]
-    nodes_explored: int
+class SolveOutcome(_Record):
+    _fields = ("solvable", "witness", "nodes_explored")
+
+    def __init__(self, solvable: bool, witness: MoveSequence | None, nodes_explored: int):
+        self.solvable, self.witness, self.nodes_explored = solvable, witness, nodes_explored
 
 
 def _next_hop(g: Graph, dist: Sequence[int], v: int) -> int:
@@ -303,7 +312,7 @@ def _drain_route(g: Graph, counts: list[int], dist: Sequence[int],
 
 
 def _greedy_counts(g: Graph, counts: list[int], target: int, t: int,
-                   dist: Sequence[int]) -> Optional[list[tuple[int, int]]]:
+                   dist: Sequence[int]) -> list[tuple[int, int]] | None:
     """Richest-vertex-first greedy; mutates counts. None means inconclusive."""
     moves: list[tuple[int, int]] = []
     while counts[target] < t:
@@ -334,8 +343,8 @@ CLOSURE_DEADLINE_EVERY = 1024
 
 
 def _closure(g: Graph, counts: list[int], target: int, t: int, dist: Sequence[int],
-             weights: Sequence[int], goal: int, budget: Optional[Budget],
-             room: float) -> Generator[None, int, Optional[int]]:
+             weights: Sequence[int], goal: int, budget: Budget | None,
+             room: float) -> Generator[None, int, int | None]:
     """Refute t-solvability by growing the distributions reachable from
     counts one level at a time, level j being those j moves away.
 
@@ -408,7 +417,7 @@ def _closure(g: Graph, counts: list[int], target: int, t: int, dist: Sequence[in
 
 
 def _solve_counts(g: Graph, counts: list[int], target: int, t: int,
-                  budget: Optional[Budget]) -> tuple[bool, Optional[list[tuple[int, int]]], int]:
+                  budget: Budget | None) -> tuple[bool, list[tuple[int, int]] | None, int]:
     """Exact t-solvability on a count vector. Returns (solvable, moves, nodes)."""
     if counts[target] >= t:
         return True, [], 0
@@ -447,7 +456,7 @@ def _solve_counts(g: Graph, counts: list[int], target: int, t: int,
     # charged to the budget before its potential is checked.
     n = len(counts)
     bits = sum(counts).bit_length()
-    out: list[Optional[list[tuple]]] = [None] * n  # moves from each vertex
+    out: list[list[tuple] | None] = [None] * n  # moves from each vertex
 
     def moves_from(a: int) -> list[tuple]:
         """Moves a -> b in the order (dist[b]-dist[a], b), built on first use.
@@ -491,7 +500,7 @@ def _solve_counts(g: Graph, counts: list[int], target: int, t: int,
         budget.charge()
     room = (budget.node_cap - budget.nodes + nodes
             if budget is not None and budget.node_cap is not None else math.inf)
-    closure: Optional[Generator[None, int, Optional[int]]] = None
+    closure: Generator[None, int, int | None] | None = None
     probe = CLOSURE_FIRST
     path: list[tuple[int, int]] = []
     stack = [(key, pot, children())]
@@ -546,7 +555,7 @@ def _moves_to_sequence(g: Graph, moves: list[tuple[int, int]]) -> MoveSequence:
 
 
 def is_solvable(g: Graph, d: Distribution, target: VertexLabel, t: int = 1,
-                budget: Optional[Budget] = None) -> SolveOutcome:
+                budget: Budget | None = None) -> SolveOutcome:
     """Decide whether some move sequence leaves >= t pebbles on the target."""
     if t < 1:
         raise InvalidParameter(f"t must be >= 1, got {t}")
@@ -586,7 +595,7 @@ def weak_compositions(k: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 
 # The benchmark's tracer times the enumeration under this name; it can go
-# once the benchmark reads DP counters instead (ROADMAP item 2).
+# once the benchmark reads DP counters instead (ROADMAP item 3).
 _compositions_array = weak_compositions
 
 
@@ -594,11 +603,12 @@ _compositions_array = weak_compositions
 # Level sweeps
 
 
-@dataclass
-class SweepResult:
-    all_solvable: bool
-    counterexample: Optional[Distribution]
-    checked: int
+class SweepResult(_Record):
+    _fields = ("all_solvable", "counterexample", "checked")
+
+    def __init__(self, all_solvable: bool, counterexample: Distribution | None, checked: int):
+        self.all_solvable, self.counterexample = all_solvable, counterexample
+        self.checked = checked
 
 
 def sweep_level(g: Graph, k: int, target: VertexLabel, t: int = 1) -> SweepResult:
@@ -656,7 +666,7 @@ class SweepCheckpoint:
         os.replace(tmp, self.path)
 
     def load_level(self, key: str, bits: int, n: int, ti: int,
-                   t: int) -> Optional[tuple[int, set[int], int, int]]:
+                   t: int) -> tuple[int, set[int], int, int] | None:
         """(k, packed U_k, candidates checked so far, largest level so far)
         saved under key for n vertices and target index ti, if any."""
         data = self._load()
@@ -698,31 +708,39 @@ def graph_hash(g: Graph) -> str:
 # Pebbling numbers
 
 
-@dataclass
-class PebblingReport:
-    value: int
-    per_target: dict[VertexLabel, int]
-    witness: Optional[tuple[Distribution, VertexLabel]]  # unsolvable at size value-1
-    distributions_checked: int = 0
-    dp_targets: list[VertexLabel] = field(default_factory=list)  # one per orbit
-    max_level: int = 0  # largest |U_k| over the dp_targets' DPs
+class PebblingReport(_Record):
+    """``witness`` is unsolvable at size value-1; ``dp_targets`` holds one
+    target per orbit (a new list when None), and ``max_level`` is the
+    largest |U_k| over their DPs."""
+
+    _fields = ("value", "per_target", "witness", "distributions_checked",
+               "dp_targets", "max_level")
+
+    def __init__(self, value: int, per_target: dict[VertexLabel, int],
+                 witness: tuple[Distribution, VertexLabel] | None,
+                 distributions_checked: int = 0,
+                 dp_targets: list[VertexLabel] | None = None, max_level: int = 0):
+        self.value, self.per_target, self.witness = value, per_target, witness
+        self.distributions_checked = distributions_checked
+        self.dp_targets = [] if dp_targets is None else dp_targets
+        self.max_level = max_level
 
 
 def pebbling_number_vertex(g: Graph, v: VertexLabel, t: int = 1,
-                           budget: Optional[Budget] = None) -> int:
+                           budget: Budget | None = None) -> int:
     """f_t(g, v): least k such that every size-k distribution is t-solvable."""
     return compute_pebbling(g, targets=[v], t=t, budget=budget).value
 
 
-def pebbling_number(g: Graph, targets: Optional[Sequence[VertexLabel]] = None,
-                    budget: Optional[Budget] = None) -> int:
+def pebbling_number(g: Graph, targets: Sequence[VertexLabel] | None = None,
+                    budget: Budget | None = None) -> int:
     """f(g), optionally restricted to a user-asserted representative list."""
     return compute_pebbling(g, targets=targets, t=1, budget=budget).value
 
 
 def t_pebbling_number(g: Graph, t: int,
-                      targets: Optional[Sequence[VertexLabel]] = None,
-                      budget: Optional[Budget] = None) -> int:
+                      targets: Sequence[VertexLabel] | None = None,
+                      budget: Budget | None = None) -> int:
     """f_t(g): least k making every size-k distribution t-solvable everywhere."""
     return compute_pebbling(g, targets=targets, t=t, budget=budget).value
 
@@ -736,8 +754,8 @@ def _field_bits(g: Graph, ti: int, t: int) -> int:
     return ((g.n - 1) * ((t << max(dist)) - 1) + t).bit_length()
 
 
-def _downset_dp(g: Graph, ti: int, t: int, budget: Optional[Budget],
-                checkpoint: Optional[SweepCheckpoint]) -> tuple[int, list[int], int, int]:
+def _downset_dp(g: Graph, ti: int, t: int, budget: Budget | None,
+                checkpoint: SweepCheckpoint | None) -> tuple[int, list[int], int, int]:
     """f_t(g, target) by the down-set DP over unsolvable distributions.
 
     Returns the value, the colex-first unsolvable distribution of size
@@ -829,9 +847,9 @@ def _downset_dp(g: Graph, ti: int, t: int, budget: Optional[Budget],
     return k + 1, [(first & f) >> bits * v for v, f in enumerate(fields)], checked, widest
 
 
-def compute_pebbling(g: Graph, targets: Optional[Sequence[VertexLabel]] = None,
-                     t: int = 1, budget: Optional[Budget] = None,
-                     checkpoint: Optional[SweepCheckpoint] = None) -> PebblingReport:
+def compute_pebbling(g: Graph, targets: Sequence[VertexLabel] | None = None,
+                     t: int = 1, budget: Budget | None = None,
+                     checkpoint: SweepCheckpoint | None = None) -> PebblingReport:
     """Exact (t-)pebbling number by the down-set DP, run once per orbit of
     the targets under the automorphisms of g.
 
@@ -856,7 +874,7 @@ def compute_pebbling(g: Graph, targets: Optional[Sequence[VertexLabel]] = None,
     per_target: dict[VertexLabel, int] = {}
     dp_targets: list[VertexLabel] = []
     values: dict[int, int] = {}  # representative index -> f_t
-    best_witness: Optional[tuple[Distribution, VertexLabel]] = None
+    best_witness: tuple[Distribution, VertexLabel] | None = None
     best_value = 0
     checked = max_level = 0
     for lab, i in zip(target_list, indices):

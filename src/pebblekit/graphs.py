@@ -15,51 +15,131 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
+from functools import total_ordering
 from itertools import combinations
-from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DisconnectedGraph, InvalidParameter, UnknownVertex
 
 # ---------------------------------------------------------------------------
-# Vertex labels
+# Value classes
+#
+# Labels, moves and reports are plain classes with their methods written
+# out: generating those methods with exec took most of the package's own
+# import time. Labels are dictionary keys in every strategy and replay
+# loop, so they spell out __eq__ and __hash__ on their own fields; a
+# generic method over _fields costs a loop and a getattr per field on
+# every lookup.
 
 
-@dataclass(frozen=True, order=True)
-class Original:
+class _Record:
+    """Field-by-field __eq__ against the same class only, and a repr
+    listing ``_fields``."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({inner})"
+
+
+class _Frozen(_Record):
+    """A hashable _Record whose attributes cannot be assigned or deleted;
+    constructors set them with object.__setattr__, which keeps the
+    attribute values inline (a dict made by ``vars(self)`` would slow
+    every later attribute read)."""
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+@total_ordering
+class Original(_Frozen):
     """An original vertex v_i of a base graph."""
 
-    index: int
+    _fields = ("index",)
+
+    def __init__(self, index: int):
+        object.__setattr__(self, "index", index)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.index,) == (other.index,)
+        return NotImplemented
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.index,) < (other.index,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.index,))
 
     def __str__(self) -> str:
         return f"v{self.index}"
 
 
-@dataclass(frozen=True, order=True)
-class EdgeVertex:
+@total_ordering
+class EdgeVertex(_Frozen):
     """The vertex inserted into the edge {v_i, v_j}; endpoints stored sorted."""
 
-    i: int
-    j: int
+    _fields = ("i", "j")
 
-    def __post_init__(self):
-        if self.i > self.j:
-            lo, hi = self.j, self.i
-            object.__setattr__(self, "i", lo)
-            object.__setattr__(self, "j", hi)
-        if self.i == self.j:
-            raise InvalidParameter(f"edge vertex needs two distinct endpoints, got {self.i}")
+    def __init__(self, i: int, j: int):
+        if i > j:
+            i, j = j, i
+        if i == j:
+            raise InvalidParameter(f"edge vertex needs two distinct endpoints, got {i}")
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.i, self.j) == (other.i, other.j)
+        return NotImplemented
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.i, self.j) < (other.i, other.j)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.i, self.j))
 
     def __str__(self) -> str:
         return f"u({self.i},{self.j})"
 
 
-@dataclass(frozen=True)
-class Pair:
+class Pair(_Frozen):
     """A Cartesian-product vertex (left, right)."""
 
-    left: "VertexLabel"
-    right: "VertexLabel"
+    _fields = ("left", "right")
+
+    def __init__(self, left: VertexLabel, right: VertexLabel):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.left, self.right) == (other.left, other.right)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right))
 
     def __str__(self) -> str:
         return f"({self.left}|{self.right})"
@@ -352,7 +432,7 @@ def trimmed_middle_path(n: int) -> Graph:
 # Automorphisms (index level; used to run one pebbling DP per target orbit)
 
 
-def automorphism_taking(g: Graph, a: int, b: int) -> Optional[tuple[int, ...]]:
+def automorphism_taking(g: Graph, a: int, b: int) -> tuple[int, ...] | None:
     """A permutation p of V(g), as a tuple of indices, with p[a] == b that
     carries the edge set onto itself; None when the search finds none.
 

@@ -16,12 +16,12 @@ import csv
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from collections.abc import Callable, Sequence
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
 
 from .errors import BudgetExceeded, InvalidParameter
-from .graphs import Graph, cartesian_product, complete, cycle_u, middle_cycle, path, trimmed_middle_path
+from .graphs import (Graph, _Frozen, _Record, cartesian_product, complete, cycle_u,
+                     middle_cycle, path, trimmed_middle_path)
 from .engine import Budget, compute_pebbling
 from . import engine, strategies
 
@@ -77,8 +77,7 @@ def _ineq22_check(m: int) -> tuple[bool, str, dict]:
 # Claims
 
 
-@dataclass(frozen=True)
-class FormulaClaim:
+class FormulaClaim(_Frozen):
     """A named closed-form claim about a pebbling quantity.
 
     The kinds are "exact" (the formula equals the pebbling number),
@@ -91,22 +90,22 @@ class FormulaClaim:
     claim; a point outside it is still checked, and its record is flagged.
     """
 
-    name: str
-    kind: str
-    params: tuple[str, ...]
-    provenance: str
-    domain: Callable[..., bool]
-    formula: Optional[Callable[..., int]] = None
-    instantiate: Optional[Callable[..., tuple[Graph, Optional[list], int]]] = None
-    check: Optional[Callable[..., tuple[bool, str, dict]]] = None
-    hypothesis: Callable[..., bool] = lambda **kw: True
-    note: str = ""
+    _fields = ("name", "kind", "params", "provenance", "domain", "formula",
+               "instantiate", "check", "hypothesis", "note")
 
-    def __post_init__(self):
-        if (self.kind not in ("exact", "upper-bound", "inequality")
-                or (self.kind == "inequality") != (self.check is not None)):
-            raise InvalidParameter(f"claim {self.name}: kind {self.kind!r} "
-                                   "does not fit its fields")
+    def __init__(self, name: str, kind: str, params: tuple[str, ...], provenance: str,
+                 domain: Callable[..., bool],
+                 formula: Callable[..., int] | None = None,
+                 instantiate: Callable[..., tuple[Graph, list | None, int]] | None = None,
+                 check: Callable[..., tuple[bool, str, dict]] | None = None,
+                 hypothesis: Callable[..., bool] = lambda **kw: True,
+                 note: str = ""):
+        if (kind not in ("exact", "upper-bound", "inequality")
+                or (kind == "inequality") != (check is not None)):
+            raise InvalidParameter(f"claim {name}: kind {kind!r} does not fit its fields")
+        for f, value in zip(self._fields, (name, kind, params, provenance, domain, formula,
+                                           instantiate, check, hypothesis, note)):
+            object.__setattr__(self, f, value)
 
 
 def _claim_list() -> list[FormulaClaim]:
@@ -224,15 +223,21 @@ def known_value(name: str, **params) -> int:
 # Check runs and the ledger
 
 
-@dataclass
-class CheckRecord:
-    claim: str
-    params: dict
-    status: str  # confirmed | refuted | inconclusive | unchecked
-    detail: str
-    evidence: dict = field(default_factory=dict)
-    hypothesis_ok: bool = True
-    timestamp: float = field(default_factory=time.time)
+class CheckRecord(_Record):
+    """``status`` is confirmed, refuted, inconclusive or unchecked;
+    ``evidence`` is a new dict and ``timestamp`` the time of construction
+    when None."""
+
+    _fields = ("claim", "params", "status", "detail", "evidence", "hypothesis_ok",
+               "timestamp")
+
+    def __init__(self, claim: str, params: dict, status: str, detail: str,
+                 evidence: dict | None = None, hypothesis_ok: bool = True,
+                 timestamp: float | None = None):
+        self.claim, self.params, self.status, self.detail = claim, params, status, detail
+        self.evidence = {} if evidence is None else evidence
+        self.hypothesis_ok = hypothesis_ok
+        self.timestamp = time.time() if timestamp is None else timestamp
 
     @property
     def evidence_hash(self) -> str:
@@ -241,7 +246,7 @@ class CheckRecord:
         return hashlib.sha256(payload.encode()).hexdigest()
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "evidence_hash": self.evidence_hash}
+        return dict(zip(self._fields, self._astuple()), evidence_hash=self.evidence_hash)
 
 
 class ClaimLedger:
@@ -270,7 +275,7 @@ class ClaimLedger:
 
 
 def _check_point(claim: FormulaClaim, params: dict,
-                 budget: Optional[Budget]) -> CheckRecord:
+                 budget: Budget | None) -> CheckRecord:
     if not claim.domain(**params):
         return CheckRecord(claim.name, params, "unchecked",
                            f"outside the claim's domain")
@@ -302,8 +307,8 @@ def _check_point(claim: FormulaClaim, params: dict,
 
 
 def check_claim(name: str, points: Sequence[dict],
-                budget: Optional[Budget] = None,
-                ledger: Optional[ClaimLedger] = None) -> list[CheckRecord]:
+                budget: Budget | None = None,
+                ledger: ClaimLedger | None = None) -> list[CheckRecord]:
     """Check a registered claim at each parameter point; budget exhaustion
     yields inconclusive, never refuted-by-timeout."""
     claim = CLAIMS.get(name)
@@ -319,16 +324,17 @@ def check_claim(name: str, points: Sequence[dict],
 # Graham's conjecture check
 
 
-@dataclass
-class GrahamReport:
-    verdict: str  # holds | violated | inconclusive
-    f_left: Optional[int]
-    f_right: Optional[int]
-    f_product: Optional[int]
+class GrahamReport(_Record):
+    _fields = ("verdict", "f_left", "f_right", "f_product")
+
+    def __init__(self, verdict: str,  # holds | violated | inconclusive
+                 f_left: int | None, f_right: int | None, f_product: int | None):
+        self.verdict, self.f_left, self.f_right, self.f_product = \
+            verdict, f_left, f_right, f_product
 
 
 def check_graham(g: Graph, h: Graph,
-                 budget: Optional[Budget] = None) -> GrahamReport:
+                 budget: Budget | None = None) -> GrahamReport:
     """Compare f(g x h) against f(g) * f(h), all three exactly. Budget
     exhaustion at any of the three computations is inconclusive. Equal
     factors share one computation."""

@@ -23,14 +23,13 @@ half its weight, so weight >= t * 2^(distance scale) pays for t arrivals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import lru_cache
-from typing import Sequence
 
 from .engine import (Distribution, MoveSequence, _greedy_counts,
                      _moves_to_sequence, _push_half)
 from .errors import InvalidParameter, PreconditionNotMet, UnknownVertex
-from .graphs import (Graph, Original, Pair, VertexLabel,
+from .graphs import (Graph, Original, Pair, VertexLabel, _Record,
                      cartesian_product, cycle_u, middle_cycle, path_u,
                      trimmed_middle_path)
 
@@ -38,13 +37,13 @@ from .graphs import (Graph, Original, Pair, VertexLabel,
 # Report and context types
 
 
-@dataclass
-class StrategyReport:
-    succeeded: bool
-    delivered: int
-    sequence: MoveSequence
-    rationale: str
-    notes: tuple[str, ...] = ()
+class StrategyReport(_Record):
+    _fields = ("succeeded", "delivered", "sequence", "rationale", "notes")
+
+    def __init__(self, succeeded: bool, delivered: int, sequence: MoveSequence,
+                 rationale: str, notes: tuple[str, ...] = ()):
+        self.succeeded, self.delivered, self.sequence = succeeded, delivered, sequence
+        self.rationale, self.notes = rationale, notes
 
     def to_json_dict(self) -> dict:
         out = {
@@ -58,17 +57,16 @@ class StrategyReport:
         return out
 
 
-@dataclass
-class PathContext:
+class PathContext(_Record):
     """A path v_1..v_n inside an ambient graph, with pebbles on it and a
     1-based target index."""
 
-    graph: Graph
-    path: Sequence[VertexLabel]
-    distribution: Distribution
-    target_index: int
+    _fields = ("graph", "path", "distribution", "target_index")
 
-    def __post_init__(self):
+    def __init__(self, graph: Graph, path: Sequence[VertexLabel],
+                 distribution: Distribution, target_index: int):
+        self.graph, self.path = graph, path
+        self.distribution, self.target_index = distribution, target_index
         n = len(self.path)
         if not (1 <= self.target_index <= n):
             raise InvalidParameter(f"target index {self.target_index} outside 1..{n}")

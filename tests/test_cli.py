@@ -232,8 +232,10 @@ QUERY_P3 = ["--graph", "{g}", "--dist", "{d}", "--target", "v3"]
     ["explain", "--strategy", "greedy", *QUERY_P3, "--t", "-2"],
     ["explain", "--strategy", "greedy", *QUERY_P3, "--t", "two"],
     ["pebbling-number", "--graph", "{g}", "--t", "0"],
+    ["verify", "cor27", "--n", "2", "--t", "0"],
+    ["verify", "cor27", "--n", "2", "--t", "0..1"],
 ], ids=["replay-t0", "solve-t-1", "greedy-t0", "greedy-t-2", "greedy-t-text",
-        "pebbling-number-t0"])
+        "pebbling-number-t0", "verify-t0", "verify-t-range-from-0"])
 def test_t_below_one_is_a_usage_error(tmp_path, capsys, argv):
     # a replay or a greedy run once passed t = 0 as a verdict, exit 0
     g = tmp_path / "p3.json"

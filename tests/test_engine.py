@@ -860,10 +860,13 @@ def test_lower_bound_certified():
         assert witnesses  # each was re-certified unsolvable inside
 
 
-def test_import_leaves_numpy_out():
-    # a fresh interpreter that finds the same pebblekit as this one
+def test_cold_import_stays_light():
+    # a fresh interpreter that finds the same pebblekit as this one; every
+    # CLI run pays for what importing the package loads. -S: a .pth file in
+    # site-packages may import typing itself
     src = os.path.dirname(os.path.dirname(pebblekit.__file__))
-    code = "import sys, pebblekit; print('numpy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    code = ("import sys, pebblekit.cli; print(sorted(m for m in "
+            "('numpy', 'dataclasses', 'inspect', 'typing') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
