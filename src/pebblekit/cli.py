@@ -36,7 +36,7 @@ EXIT_USAGE = 3
 def _budget(args) -> Budget:
     """Each cap from its flag, else from its environment variable, else its
     default."""
-    return Budget._resolve(args.budget_nodes, args.budget_seconds)
+    return Budget.from_env(args.budget_nodes, args.budget_seconds)
 
 
 def _int(text: str, what: str) -> int:
@@ -263,13 +263,17 @@ def cmd_verify(args) -> int:
     if args.csv and ledger is None:
         raise InvalidParameter("--csv summarizes the ledger, so it needs --ledger")
     name = _VERIFY_CLAIMS[args.claim]
+    claim = registry.CLAIMS[name]
     points = [{}]
-    for pname in registry.CLAIMS[name].params:
+    for pname in claim.params:
         text = getattr(args, pname)
         values = _parse_range(f"--{pname}", text)
         if pname == "t" and values[0] < 1:  # as every single-valued --t
             raise InvalidParameter(f"--t: needs an integer >= 1, got {text!r}")
         points = [dict(pt, **{pname: v}) for pt in points for v in values]
+    for pt in points:  # all of them, before any is checked
+        if not claim.domain(**pt):
+            raise InvalidParameter(f"{name} is not defined at {pt}")
     records = registry.check_claim(name, points, _budget(args), ledger)
     for rec in records:
         flag = "" if rec.hypothesis_ok else "  [out of hypothesis]"
@@ -280,7 +284,7 @@ def cmd_verify(args) -> int:
     statuses = {rec.status for rec in records}
     if "refuted" in statuses:
         return EXIT_NEGATIVE
-    if "inconclusive" in statuses or "unchecked" in statuses:
+    if "inconclusive" in statuses:
         return EXIT_INCONCLUSIVE
     return EXIT_OK
 

@@ -10,12 +10,15 @@ changes to the packed key and to the potential, so a search node costs a
 few integer operations instead of rebuilding either from the vector.
 Beside the search runs a refutation, ``_closure``, that grows the set of
 distributions reachable from the root one level (one move) at a time and
-counts the states the search counts. The search resumes it at
-CLOSURE_FIRST nodes and each doubling, up to CLOSURE_RATIO times its own
-nodes; when it exhausts the set, the search returns its count, the count
-the search would reach, and charges the rest to the budget. It refutes
-only within the budget's nodes and checks the deadline as it goes, so
-verdicts, witnesses, node counts and budget stops are the search's alone.
+counts the states the search counts. The search resumes it every
+CLOSURE_EVERY of its nodes, up to CLOSURE_RATIO times its own nodes; when
+it exhausts the set, the search returns its count, the count the search
+would reach, and charges the rest to the budget. The closure knows no
+budget: the search drops it when its count passes the nodes left under the
+cap, and between two of the search's budget charges it runs at most
+CLOSURE_RATIO * CLOSURE_EVERY nodes, so the search's charges are the only
+deadline checks needed. Verdicts, witnesses, node counts and budget stops
+are the search's alone.
 
 Pebbling and t-pebbling numbers come from a dynamic program over the
 unsolvable distributions, not from the solver. They form a down-set
@@ -47,13 +50,11 @@ no floating point is involved anywhere in the search.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
 import time
 from collections.abc import Generator, Iterable, Iterator, Sequence
-from fractions import Fraction
 from itertools import groupby
 
 from .errors import (BudgetExceeded, InsufficientPebbles, InvalidParameter,
@@ -192,6 +193,8 @@ def potential(g: Graph, d: Distribution, target: VertexLabel) -> Fraction:
     Non-increasing under pebbling moves, so a value below t certifies that
     the distribution is not t-solvable for the target.
     """
+    from fractions import Fraction  # here, so importing pebblekit loads no decimal
+
     ti = g.index_of(target)
     dist = g.distances_from(ti)
     ecc = max(dist)
@@ -241,12 +244,8 @@ class Budget:
         self.nodes = 0
 
     @classmethod
-    def from_env(cls) -> "Budget":
-        """The caps the environment sets, or their defaults."""
-        return cls._resolve(None, None)
-
-    @classmethod
-    def _resolve(cls, node_cap: int | None, seconds: float | None) -> "Budget":
+    def from_env(cls, node_cap: int | None = None,
+                 seconds: float | None = None) -> "Budget":
         """Each cap on its own: the one given, else its environment variable
         (an empty one counts as unset), else its default: DEFAULT_NODE_BUDGET
         nodes and no time cap."""
@@ -333,18 +332,14 @@ def _greedy_counts(g: Graph, counts: list[int], target: int, t: int,
     return moves
 
 
-# The search resumes the closure when its node count reaches CLOSURE_FIRST
-# and at each doubling after, until the closure has generated CLOSURE_RATIO
-# times the search's nodes; the closure checks the deadline at least every
-# CLOSURE_DEADLINE_EVERY nodes it generates.
-CLOSURE_FIRST = 256
+# The search resumes the closure every CLOSURE_EVERY of its nodes, and lets
+# it run until it has generated CLOSURE_RATIO times the search's nodes.
+CLOSURE_EVERY = 256
 CLOSURE_RATIO = 8
-CLOSURE_DEADLINE_EVERY = 1024
 
 
 def _closure(g: Graph, counts: list[int], target: int, t: int, dist: Sequence[int],
-             weights: Sequence[int], goal: int, budget: Budget | None,
-             room: float) -> Generator[None, int, int | None]:
+             weights: Sequence[int], goal: int) -> Generator[int | None, int, int | None]:
     """Refute t-solvability by growing the distributions reachable from
     counts one level at a time, level j being those j moves away.
 
@@ -358,13 +353,11 @@ def _closure(g: Graph, counts: list[int], target: int, t: int, dist: Sequence[in
     search counts, so on an unsolvable root the two counts are equal.
 
     Primed with next(), then resumed with send(limit): it runs until it has
-    generated at least limit nodes, and yields. It returns its node count
-    when no level is left (unsolvable). It returns None when a rich vertex
-    can pay the whole toll alone, c >> dist[v] >= t - c_target, which also
-    covers every move that brings the target to t; and when its count passes
-    room, the nodes left in the budget. Both stops leave the search to
-    finish alone. It charges no nodes, but calls budget.charge(0) at least
-    every CLOSURE_DEADLINE_EVERY nodes so a deadline still stops it.
+    generated at least limit nodes, and yields its node count. It returns
+    its node count when no level is left (unsolvable). It returns None when
+    a rich vertex can pay the whole toll alone, c >> dist[v] >= t - c_target,
+    which also covers every move that brings the target to t. It knows no
+    budget: the search that resumes it checks caps and deadlines.
     """
     n = len(counts)
     bits = sum(counts).bit_length()
@@ -378,16 +371,14 @@ def _closure(g: Graph, counts: list[int], target: int, t: int, dist: Sequence[in
     for v in range(n):
         out = [(2 * units[v] - units[b], 2 * weights[v] - weights[b]) for b in g.neighbors[v]]
         rich += [(fields[v], bits * v + dist[v], out, units[v] - 1)] * bits
-    fan = sum(len(g.neighbors[v]) for v in range(n) if v != target)
-    step = max(1, CLOSURE_DEADLINE_EVERY - fan)
     tfield, tshift = fields[target], bits * target
     level = {sum(c << bits * v for v, c in enumerate(counts)):
              sum(c * w for c, w in zip(counts, weights))}
-    nodes = checked = 1  # the root
+    nodes = 1  # the root
     limit = yield
     while level:
         nxt: dict[int, int] = {}
-        mark = min(limit, checked + step, room + 1) - nodes
+        mark = limit - nodes
         for key, pot in level.items():
             if pot < goal:
                 continue
@@ -402,15 +393,9 @@ def _closure(g: Graph, counts: list[int], target: int, t: int, dist: Sequence[in
                     if child not in nxt:
                         nxt[child] = pot - dpot
                 r &= below
-            if len(nxt) >= mark:
-                checked = nodes + len(nxt)
-                if checked > room:
-                    return None
-                if budget is not None:
-                    budget.charge(0)
-                while checked >= limit:
-                    limit = yield
-                mark = min(limit, checked + step, room + 1) - nodes
+            while len(nxt) >= mark:
+                limit = yield nodes + len(nxt)
+                mark = limit - nodes
         nodes += len(nxt)
         level = nxt
     return nodes
@@ -485,14 +470,15 @@ def _solve_counts(g: Graph, counts: list[int], target: int, t: int,
             cand += tied[0] if len(tied) == 1 else sorted([m for ms in tied for m in ms])
         return iter(cand)
 
-    # Beside the search runs the closure, resumed at node CLOSURE_FIRST and
-    # each doubling. On an unsolvable root it reaches the search's final
-    # count N sooner, and the search returns (False, None, N) at once,
-    # charging the budget the N - nodes it has not charged yet. The closure
-    # refutes only within the nodes left in the budget (room), so a cap is
-    # spent where the search alone would spend it; when it finds the target
-    # reachable or passes the cap it is dropped, and the search, the only
-    # source of witnesses, finishes alone.
+    # Beside the search runs the closure, resumed every CLOSURE_EVERY nodes,
+    # so between two of the search's budget charges it generates at most
+    # CLOSURE_RATIO * CLOSURE_EVERY nodes and the moves of one distribution.
+    # On an unsolvable root it reaches the search's final count N sooner,
+    # and the search returns (False, None, N) at once, charging the budget
+    # the N - nodes it has not charged yet. The closure is dropped when it
+    # finds the target reachable or its count passes room, the most nodes
+    # the search can reach within a node cap; the search, the only source
+    # of witnesses, then finishes alone.
     key = sum(c << bits * v for v, c in enumerate(counts))  # the root: node 1
     failed: set[int] = set()
     nodes = 1
@@ -500,8 +486,8 @@ def _solve_counts(g: Graph, counts: list[int], target: int, t: int,
         budget.charge()
     room = (budget.node_cap - budget.nodes + nodes
             if budget is not None and budget.node_cap is not None else math.inf)
-    closure: Generator[None, int, int | None] | None = None
-    probe = CLOSURE_FIRST
+    closure: Generator[int | None, int, int | None] | None = None
+    probe = CLOSURE_EVERY
     path: list[tuple[int, int]] = []
     stack = [(key, pot, children())]
     while stack:
@@ -517,20 +503,20 @@ def _solve_counts(g: Graph, counts: list[int], target: int, t: int,
             if budget is not None:
                 budget.charge()
             if nodes == probe:
-                probe <<= 1
+                probe += CLOSURE_EVERY
                 try:
                     if closure is None:
-                        closure = _closure(g, counts, target, t, dist, weights,
-                                           goal, budget, room)
+                        closure = _closure(g, counts, target, t, dist, weights, goal)
                         next(closure)
-                    closure.send(CLOSURE_RATIO * nodes)
+                    reached = closure.send(CLOSURE_RATIO * nodes)
                 except StopIteration as stop:
-                    if stop.value is None:
-                        probe = 0  # never again
-                    else:
+                    reached = stop.value
+                    if reached is not None and reached <= room:
                         if budget is not None:
-                            budget.charge(stop.value - nodes)
-                        return False, None, stop.value
+                            budget.charge(reached - nodes)
+                        return False, None, reached
+                if reached is None or reached > room:
+                    probe, closure = 0, None  # never again
             if pot - dpot < goal:
                 failed.add(child)
                 continue
@@ -595,7 +581,7 @@ def weak_compositions(k: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 
 # The benchmark's tracer times the enumeration under this name; it can go
-# once the benchmark reads DP counters instead (ROADMAP item 3).
+# once the benchmark reads DP counters instead (ROADMAP item 4).
 _compositions_array = weak_compositions
 
 
@@ -701,6 +687,8 @@ class SweepCheckpoint:
 
 
 def graph_hash(g: Graph) -> str:
+    import hashlib  # here, so importing pebblekit loads no OpenSSL
+
     return hashlib.sha256(g.to_json().encode()).hexdigest()
 
 

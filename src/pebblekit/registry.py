@@ -1,23 +1,22 @@
 """Closed-form pebbling claims and the machinery to check them.
 
 Every claim stores a formula (an inequality stores its exact check
-instead), its parameter domain, the regime its source proves it in, and a
-provenance tag naming where it comes from in the source text. A claim is only
-ever marked confirmed by an actual check run: exact-value claims are
-compared against the exhaustive solver, bound claims against the solver
-on the bounded quantity, inequality claims by exact integer or rational
-arithmetic. Check runs append JSON-lines records carrying an evidence
-hash, so a confirmed status is always traceable to a serialized run.
+instead), its parameter domain and the regime its source proves it in;
+``SOURCE_RESULTS`` maps the source text's numbered results to the claims
+and operations that state them. A claim is only ever marked confirmed by
+an actual check run: exact-value claims are compared against the
+exhaustive solver, bound claims against the solver on the bounded
+quantity, inequality claims by exact integer or rational arithmetic.
+Check runs append JSON-lines records carrying an evidence hash, so a
+confirmed status is always traceable to a serialized run.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import time
 from collections.abc import Callable, Sequence
-from fractions import Fraction
 
 from .errors import BudgetExceeded, InvalidParameter
 from .graphs import (Graph, _Frozen, _Record, cartesian_product, complete, cycle_u,
@@ -49,6 +48,8 @@ def check_inequality_21(m: int, n: int) -> tuple[bool, int, Fraction, bool]:
     """
     if m < 1 or n < 1:
         raise InvalidParameter("m and n must be >= 1")
+    from fractions import Fraction  # here, so importing pebblekit loads no decimal
+
     lhs = 1 << (m + 1)
     rhs = Fraction((m - 1) * ((1 << n) - 1), n) - m + 2
     return lhs < rhs, lhs, rhs, product_hypothesis(m, n)
@@ -90,10 +91,10 @@ class FormulaClaim(_Frozen):
     claim; a point outside it is still checked, and its record is flagged.
     """
 
-    _fields = ("name", "kind", "params", "provenance", "domain", "formula",
+    _fields = ("name", "kind", "params", "domain", "formula",
                "instantiate", "check", "hypothesis", "note")
 
-    def __init__(self, name: str, kind: str, params: tuple[str, ...], provenance: str,
+    def __init__(self, name: str, kind: str, params: tuple[str, ...],
                  domain: Callable[..., bool],
                  formula: Callable[..., int] | None = None,
                  instantiate: Callable[..., tuple[Graph, list | None, int]] | None = None,
@@ -103,7 +104,7 @@ class FormulaClaim(_Frozen):
         if (kind not in ("exact", "upper-bound", "inequality")
                 or (kind == "inequality") != (check is not None)):
             raise InvalidParameter(f"claim {name}: kind {kind!r} does not fit its fields")
-        for f, value in zip(self._fields, (name, kind, params, provenance, domain, formula,
+        for f, value in zip(self._fields, (name, kind, params, domain, formula,
                                            instantiate, check, hypothesis, note)):
             object.__setattr__(self, f, value)
 
@@ -115,7 +116,6 @@ def _claim_list() -> list[FormulaClaim]:
             kind="exact",
             params=("n",),
             formula=lambda n: n,
-            provenance="Section 1",
             domain=lambda n: n >= 1,
             instantiate=lambda n: (complete(n), None, 1),
         ),
@@ -124,7 +124,6 @@ def _claim_list() -> list[FormulaClaim]:
             kind="exact",
             params=("n",),
             formula=lambda n: 1 << (n - 1),
-            provenance="Section 1",
             domain=lambda n: n >= 1,
             instantiate=lambda n: (path(n), None, 1),
             note=("source text prints 2^n - 1, refuted by exhaustive search "
@@ -136,7 +135,6 @@ def _claim_list() -> list[FormulaClaim]:
             kind="exact",
             params=("n",),
             formula=lambda n: (1 << (n - 2)) + n - 2,
-            provenance="Corollary 2.4",
             domain=lambda n: n >= 3,
             instantiate=lambda n: (trimmed_middle_path(n), None, 1),
         ),
@@ -145,7 +143,6 @@ def _claim_list() -> list[FormulaClaim]:
             kind="exact",
             params=("n",),
             formula=lambda n: (1 << (n + 1)) + 2 * n - 2,
-            provenance="Lemma 2.6",
             domain=lambda n: n >= 2,
             instantiate=lambda n: (middle_cycle(n), None, 1),
             note=("imported statement; its own proof is in a reference that "
@@ -156,7 +153,6 @@ def _claim_list() -> list[FormulaClaim]:
             kind="upper-bound",
             params=("n", "t"),
             formula=lambda n, t: (t << (n + 1)) + 2 * n - 2,
-            provenance="Corollary 2.7",
             domain=lambda n, t: n >= 2 and t >= 1,
             instantiate=lambda n, t: (middle_cycle(n), None, t),
         ),
@@ -165,7 +161,6 @@ def _claim_list() -> list[FormulaClaim]:
             kind="upper-bound",
             params=("n", "t"),
             formula=lambda n, t: (1 << (n + 1)) + 2 * n - 2 + (t - 1) * ((1 << n) + n),
-            provenance="Corollary 3.1",
             domain=lambda n, t: n >= 2 and t >= 1,
             # the bound is for edge-vertex targets only, so the oracle runs
             # against a single representative (rotations act transitively)
@@ -176,7 +171,6 @@ def _claim_list() -> list[FormulaClaim]:
             kind="upper-bound",
             params=("n", "m"),
             formula=lambda n, m: ((1 << (n + 1)) + 2 * n - 2) * ((1 << (m + 1)) + 2 * m - 2),
-            provenance="Theorem 2.8",
             domain=lambda n, m: n >= 2 and m >= 2,
             instantiate=lambda n, m: (
                 cartesian_product(middle_cycle(n), middle_cycle(m)), None, 1),
@@ -187,7 +181,6 @@ def _claim_list() -> list[FormulaClaim]:
             name="ineq21",
             kind="inequality",
             params=("m", "n"),
-            provenance="Eq. (2.1)",
             domain=lambda m, n: m >= 1 and n >= 1,
             check=_ineq21_check,
             hypothesis=product_hypothesis,
@@ -196,7 +189,6 @@ def _claim_list() -> list[FormulaClaim]:
             name="ineq22",
             kind="inequality",
             params=("m",),
-            provenance="Eq. (2.2)",
             domain=lambda m: m >= 1,
             check=_ineq22_check,
             hypothesis=lambda m: m >= 5,
@@ -241,6 +233,8 @@ class CheckRecord(_Record):
 
     @property
     def evidence_hash(self) -> str:
+        import hashlib  # here, so importing pebblekit loads no OpenSSL
+
         payload = json.dumps({"claim": self.claim, "params": self.params,
                               "evidence": self.evidence}, sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()

@@ -443,6 +443,21 @@ def test_verify_empty_range_is_a_usage_error(argv, capsys):
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["cor24", "--n", "2"], "cor24 is not defined at {'n': 2}"),
+    (["cor24", "--n", "2..3"], "cor24 is not defined at {'n': 2}"),
+    (["lemma26", "--n", "1"], "middle_even_cycle is not defined at {'n': 1}"),
+    (["product-bound", "--n", "1", "--m", "2"],
+     "product_bound is not defined at {'n': 1, 'm': 2}"),
+], ids=["cor24-n2", "cor24-range-from-2", "lemma26-n1", "product-bound-n1"])
+def test_verify_point_outside_the_domain_is_a_usage_error(argv, message, capsys):
+    # exit 2 means a budget or memory ran out; a point outside the domain
+    # is a bad parameter, and no point of its range is checked
+    assert run(["verify", *argv]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
 GOOD_GRAPH = path(2).to_json()
 GOOD_DIST = json.dumps({"counts": {"v1": 2}})
 SOLVE = ["solve", "--graph", "{g}", "--dist", "{d}", "--target", "v2"]

@@ -139,14 +139,14 @@ def test_check_claim_flags_product_bound_out_of_hypothesis():
 
 
 def test_claim_kind_must_fit_its_fields():
-    oracle = dict(params=("n",), provenance="test", domain=lambda n: True,
+    oracle = dict(params=("n",), domain=lambda n: True,
                   formula=lambda n: n, instantiate=lambda n: (path(n), None, 1))
     FormulaClaim(name="ok", kind="upper-bound", **oracle)
     with pytest.raises(InvalidParameter):
         FormulaClaim(name="lower", kind="lower-bound", **oracle)
     with pytest.raises(InvalidParameter):
         FormulaClaim(name="no_check", kind="inequality", params=("m",),
-                     provenance="test", domain=lambda m: True)
+                     domain=lambda m: True)
 
 
 # -- graham ------------------------------------------------------------------
