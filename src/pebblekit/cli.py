@@ -137,6 +137,10 @@ def cmd_solve(args) -> int:
     g = _read_json(args.graph, Graph.from_json_dict)
     target = parse_label(args.target)
     d = _read_json(args.dist, _distribution)
+    # an unknown target, or pebbles off the graph, is a usage error with or
+    # without --replay
+    g.index_of(target)
+    d.vector(g)
     if args.replay:
         seq = _read_json(args.replay, MoveSequence.from_json_list)
         final = replay(g, d, seq)  # raises on an illegal move

@@ -803,9 +803,9 @@ def _downset_dp(g: Graph, ti: int, t: int, budget: Budget | None,
         for u, pot in prev.items():
             todo = ext[u.bit_length()]
             checked += len(todo)
+            if budget is not None:
+                budget.charge(len(todo))
             for e, w in todo:
-                if budget is not None:
-                    budget.charge()
                 c, p = u + e, pot + w
                 if p < goal:
                     cur[c] = p
@@ -849,8 +849,9 @@ def compute_pebbling(g: Graph, targets: Sequence[VertexLabel] | None = None,
     value. The first target reaching the maximum is such a representative,
     so the witness is the one a DP over every target would give.
     ``distributions_checked`` counts the representatives' DP candidates;
-    the budget is charged one node per candidate. ``max_level`` is the
-    largest level |U_k| any of those DPs held.
+    the budget is charged one node per candidate, for all of a parent's
+    candidates before the first is tested. ``max_level`` is the largest
+    level |U_k| any of those DPs held.
     """
     if t < 1:
         raise InvalidParameter(f"t must be >= 1, got {t}")

@@ -195,8 +195,9 @@ class Graph:
 
     Immutable after construction; adjacency is kept both as sorted neighbor
     lists (for the search hot loops) and as a pair set (for O(1) membership).
-    A disconnected input raises DisconnectedGraph: the search's shortcuts
-    and the pebbling-number bound read a distance to every vertex.
+    An input with no vertex raises InvalidParameter, and a disconnected one
+    DisconnectedGraph: the search's shortcuts and the pebbling-number bound
+    read the distances from a vertex to every vertex.
     """
 
     __slots__ = ("vertices", "_index", "neighbors", "_edge_set", "_dist_cache", "_diameter")
@@ -207,6 +208,8 @@ class Graph:
             raise InvalidParameter("duplicate vertex labels")
         self._index = {lab: k for k, lab in enumerate(self.vertices)}
         n = len(self.vertices)
+        if n == 0:
+            raise InvalidParameter("a graph needs at least one vertex")
         edge_set = set()
         for a, b in edges:
             if a == b:
@@ -222,7 +225,7 @@ class Graph:
         self._edge_set = frozenset(edge_set)
         self._dist_cache: dict[int, tuple[int, ...]] = {}
         self._diameter: int | None = None
-        if n > 0 and -1 in self.distances_from(0):
+        if -1 in self.distances_from(0):
             raise DisconnectedGraph("graph is not connected")
 
     # -- basic queries ------------------------------------------------------
@@ -396,8 +399,6 @@ def delete_vertices(g: Graph, labels: Iterable[VertexLabel]) -> Graph:
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:
     """Cartesian product: (a,b) ~ (c,d) iff a=c and b~d, or a~c and b=d."""
-    if g.n == 0 or h.n == 0:
-        raise InvalidParameter("cartesian product of empty graph")
     verts = [Pair(ga, hb) for ga in g.vertices for hb in h.vertices]
     hn = h.n
     edges: list[tuple[int, int]] = []

@@ -255,17 +255,25 @@ class ClaimLedger:
                 fh.write(json.dumps(rec.to_json_dict(), sort_keys=True) + "\n")
 
     def write_csv(self, csv_path: str) -> None:
+        """Summarize the ledger; a line that is not a record is an
+        InvalidParameter naming the ledger and the line, before the CSV is
+        opened."""
         rows = []
-        with open(self.path) as fh:
-            for line in fh:
-                if line.strip():
-                    rows.append(json.loads(line))
+        with open(self.path, "rb") as fh:  # a line that does not decode fails in json.loads
+            for num, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    rec = json.loads(line)
+                    rows.append([rec["claim"], json.dumps(rec["params"], sort_keys=True),
+                                 rec["status"], rec["hypothesis_ok"], rec["evidence_hash"]])
+                except (LookupError, TypeError, ValueError) as exc:
+                    raise InvalidParameter(f"malformed ledger {self.path} line {num}: "
+                                           f"{type(exc).__name__}: {exc}") from None
         with open(csv_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["claim", "params", "status", "hypothesis_ok", "evidence_hash"])
-            for row in rows:
-                writer.writerow([row["claim"], json.dumps(row["params"], sort_keys=True),
-                                 row["status"], row["hypothesis_ok"], row["evidence_hash"]])
+            writer.writerows(rows)
 
 
 def _check_point(claim: FormulaClaim, params: dict,

@@ -414,27 +414,12 @@ def _mc_solve_u0(n: int, counts: list[int], t: int,
     return tag or "u-target:already"
 
 
-def _mc_solve_v0(n: int, counts: list[int], t: int,
-                 moves: list[tuple[int, int]]) -> str:
-    """Deliver t pebbles to v_0 of M(C_{2n}) along the half-spine path
-    L = v_n u_{n-1} .. u_0 v_0, topping the spine up from the originals
-    when the opposite pile does not pay on its own."""
-    u, v = _mc_tables(n)
-    need = t - counts[v[0]]
-    if need <= 0:
-        return "v-target:already"
-    # work on the heavier of the two sides flanking the v_0..v_n axis
-    side_a = sum(counts[u[i]] for i in range(n)) \
-        + sum(counts[v[i]] for i in range(1, n))
-    side_b = sum(counts[u[i]] for i in range(n, 2 * n)) \
-        + sum(counts[v[i]] for i in range(n + 1, 2 * n))
-    frame = _mc_perm(n, -1 if side_b > side_a else 1, 0)
-    return _in_frame(counts, frame, [counts[i] for i in frame], moves,
-                     _mc_v0_oriented, n, need)
-
-
 def _mc_v0_oriented(n: int, counts: list[int], need: int,
                     moves: list[tuple[int, int]]) -> str:
+    """Deliver need more pebbles to v_0 of M(C_{2n}) along the half-spine
+    path L = v_n u_{n-1} .. u_0 v_0, topping the spine up from the originals
+    when the opposite pile does not pay on its own. The caller's frame puts
+    the heavier side of the v_0..v_n axis on u_0..u_{n-1}."""
     u, v = _mc_tables(n)
     spine_l = [v[n]] + [u[i] for i in range(n - 1, -1, -1)] + [v[0]]
     h = (need << (n + 1)) - counts[v[n]]
@@ -455,17 +440,29 @@ def _mc_strategy(n: int, counts: list[int], target: int, t: int,
     """Deliver t pebbles to the target index of M(C_{2n}); mutates counts,
     appends moves, returns the case tag. Raises PreconditionNotMet, before
     any move, below t * 2^(n+1) + 2n - 2 pebbles. The argument runs in the
-    rotated frame that puts the target on u_0 or v_0."""
+    one dihedral frame that puts the target on u_0 or v_0, reflected for a
+    v-target when that puts its heavier side on u_0..u_{n-1}."""
     floor = (t << (n + 1)) + 2 * n - 2
     total = sum(counts)
     if total < floor:
         raise PreconditionNotMet(f"{total} pebbles, hypothesis needs {floor}")
     u, v = _mc_tables(n)
-    if target in v:
-        frame, solve = _mc_perm(n, 1, v.index(target)), _mc_solve_v0
+    if target in u:
+        frame, solve, arg = _mc_perm(n, 1, u.index(target)), _mc_solve_u0, t
     else:
-        frame, solve = _mc_perm(n, 1, u.index(target)), _mc_solve_u0
-    return _in_frame(counts, frame, [counts[i] for i in frame], moves, solve, n, t)
+        need = t - counts[target]
+        if need <= 0:
+            return "v-target:already"
+        # the two sides of the axis v_a v_{a+n} through the target v_a, read
+        # through the rotation v_i -> v_{i+a}; side B is the rest
+        a = v.index(target)
+        rot = _mc_perm(n, 1, a)
+        side_a = sum(counts[rot[u[i]]] for i in range(n)) \
+            + sum(counts[rot[v[i]]] for i in range(1, n))
+        side_b = total - side_a - counts[target] - counts[rot[v[n]]]
+        frame = _mc_perm(n, -1 if side_b > side_a else 1, a)
+        solve, arg = _mc_v0_oriented, need
+    return _in_frame(counts, frame, [counts[i] for i in frame], moves, solve, n, arg)
 
 
 def middle_cycle_t_strategy(n: int, d: Distribution, target: VertexLabel,

@@ -272,6 +272,23 @@ def test_solve_replay_short_of_t(tmp_path, capsys):
     assert "replay legal but leaves only 1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("counts, target", [
+    ({"v1": 2}, "v9"),              # was "replay legal but leaves only 0", exit 1
+    ({"v1": 2, "v9": 5}, "v2"),     # was "verified", exit 0
+], ids=["unknown-target", "pebbles-off-the-graph"])
+@pytest.mark.parametrize("replay", [False, True], ids=["search", "replay"])
+def test_solve_replay_checks_what_solve_checks(tmp_path, capsys, counts, target, replay):
+    g = tmp_path / "p2.json"
+    g.write_text(path(2).to_json())
+    w = tmp_path / "w.json"
+    w.write_text(json.dumps([["v1", "v2"]]))
+    argv = ["solve", "--graph", str(g), "--dist", str(dist_file(tmp_path, counts)),
+            "--target", target] + (["--replay", str(w)] if replay else [])
+    assert run(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "no vertex labelled v9" in captured.err
+
+
 def test_pebbling_number_restricted_targets(tmp_path, capsys):
     g = tmp_path / "p4.json"
     assert run(["construct", "path", "--n", "4", "--out", str(g)]) == 0
@@ -474,11 +491,12 @@ SOLVE = ["solve", "--graph", "{g}", "--dist", "{d}", "--target", "v2"]
     ({"g": GOOD_GRAPH, "d": "{bad"}, "d", SOLVE),
     ({"g": GOOD_GRAPH, "d": GOOD_DIST, "w": '[["v1"]]'}, "w",
      SOLVE + ["--replay", "{w}"]),
+    ({"g": '{"vertices": [], "edges": []}'}, "g", ["pebbling-number", "--graph", "{g}"]),
     ({}, None, ["verify", "cor24", "--n", "abc"]),
     ({}, None, ["verify", "graham", "--left", "path:x", "--right", "path:2"]),
 ], ids=["graph-without-edges", "one-element-edge", "dist-without-counts",
         "non-integer-count", "fractional-count", "boolean-count", "not-json",
-        "one-element-move", "non-integer-range",
+        "one-element-move", "empty-graph", "non-integer-range",
         "non-integer-family-parameter"])
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, files, bad, argv):
     paths = {}
@@ -596,6 +614,18 @@ def test_verify_writes_ledger(tmp_path):
                 "--ledger", str(ledger), "--csv", str(csv_out)]) == 0
     assert len(ledger.read_text().splitlines()) == 3
     assert "complete_graph" in csv_out.read_text()
+
+
+@pytest.mark.parametrize("bad", [b"{}", b"{bad", b"\xff\xfe"],
+                         ids=["not-a-record", "not-json", "not-utf8"])
+def test_verify_csv_names_the_malformed_ledger_line(tmp_path, capsys, bad):
+    ledger = tmp_path / "ledger.jsonl"
+    ledger.write_bytes(bad + b"\n")
+    csv_out = tmp_path / "summary.csv"
+    assert run(["verify", "kn", "--n", "2", "--ledger", str(ledger),
+                "--csv", str(csv_out)]) == EXIT_USAGE
+    assert f"{ledger} line 1" in capsys.readouterr().err
+    assert not csv_out.exists()
 
 
 # -- usage -------------------------------------------------------------------

@@ -86,6 +86,14 @@ def test_bad_params():
         middle_cycle(1)
 
 
+def test_a_graph_without_vertices_is_rejected():
+    # no vertex to measure a distance from, so no pebbling number and no bound
+    with pytest.raises(InvalidParameter):
+        Graph([], [])
+    with pytest.raises(InvalidParameter):
+        Graph.from_json('{"vertices": [], "edges": []}')
+
+
 def test_disconnected_rejected():
     with pytest.raises(DisconnectedGraph):
         Graph([Original(1), Original(2), Original(3)], [(0, 1)])

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -118,6 +119,18 @@ def test_check_claim_ledger_and_csv(tmp_path):
     ledger.write_csv(str(tmp_path / "summary.csv"))
     text = (tmp_path / "summary.csv").read_text()
     assert "complete_graph" in text and "confirmed" in text
+
+
+@pytest.mark.parametrize("bad", [b"{}", b"{bad", b"\xff\xfe"],
+                         ids=["not-a-record", "not-json", "not-utf8"])
+def test_write_csv_names_the_malformed_ledger_line(tmp_path, bad):
+    file = tmp_path / "ledger.jsonl"
+    ledger = ClaimLedger(str(file))
+    check_claim("complete_graph", [{"n": 2}], ledger=ledger)
+    file.write_bytes(file.read_bytes() + b"\n" + bad + b"\n")  # a blank line 2
+    with pytest.raises(InvalidParameter, match=re.escape(f"{file} line 3")):
+        ledger.write_csv(str(tmp_path / "summary.csv"))
+    assert not (tmp_path / "summary.csv").exists()
 
 
 def test_check_inequality_claims_via_registry():

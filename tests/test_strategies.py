@@ -253,6 +253,10 @@ def test_mc_perm_is_the_dihedral_symmetry():
                 for i in range(two_n):
                     image = g.vertices[frame[g.index_of(Original(i))]]
                     assert image == Original((s * i + a) % two_n)
+                # a reflection then a rotation is one map: _mc_strategy runs
+                # a v-target's argument in this frame alone
+                rot, ref = _mc_perm(n, 1, a), _mc_perm(n, s, 0)
+                assert all(frame[x] == rot[ref[x]] for x in range(g.n)), (n, s, a)
 
 
 def test_mc_half_frames_embed_the_trimmed_middle_path():
