@@ -57,8 +57,8 @@ import time
 from collections.abc import Generator, Iterable, Iterator, Sequence
 from itertools import groupby
 
-from .errors import (BudgetExceeded, InsufficientPebbles, InvalidParameter,
-                     NotAdjacent)
+from .errors import (MALFORMED_INPUT, BudgetExceeded, InsufficientPebbles,
+                     InvalidParameter, NotAdjacent)
 from .graphs import Graph, VertexLabel, _Frozen, _Record, parse_label, target_orbits
 
 # ---------------------------------------------------------------------------
@@ -121,14 +121,7 @@ class Move(_Frozen):
     def __init__(self, src: VertexLabel, dst: VertexLabel):
         object.__setattr__(self, "src", src)
         object.__setattr__(self, "dst", dst)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.src, self.dst) == (other.src, other.dst)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.src, self.dst))
+        object.__setattr__(self, "_key", (src, dst))
 
     def __str__(self) -> str:
         return f"{self.src} -> {self.dst}"
@@ -639,8 +632,8 @@ class SweepCheckpoint:
                 with open(self.path, encoding="utf-8") as fh:
                     try:
                         data = json.load(fh)
-                    except ValueError as exc:  # not UTF-8, or not JSON
-                        raise InvalidParameter(f"checkpoint {self.path} is not JSON: "
+                    except MALFORMED_INPUT as exc:
+                        raise InvalidParameter(f"malformed checkpoint {self.path}: "
                                                f"{type(exc).__name__}: {exc}") from None
             self._data = data
         return self._data

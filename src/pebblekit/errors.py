@@ -43,3 +43,9 @@ class BudgetExceeded(PebbleError):
         super().__init__(message)
         self.nodes_explored = nodes_explored
         self.elapsed = elapsed
+
+
+# What reading a malformed input file can raise: a parse error, a value of the
+# wrong shape or type, or nesting deeper than the recursion limit.
+MALFORMED_INPUT = (PebbleError, ArithmeticError, AttributeError, LookupError,
+                   TypeError, ValueError, RecursionError)

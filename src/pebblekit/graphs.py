@@ -14,6 +14,7 @@ Index conventions: cycles are 0-based (v_0 ... v_{n-1}), paths are 1-based
 from __future__ import annotations
 
 import json
+import re
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 from functools import total_ordering
@@ -27,9 +28,9 @@ from .errors import DisconnectedGraph, InvalidParameter, UnknownVertex
 # Labels, moves and reports are plain classes with their methods written
 # out: generating those methods with exec took most of the package's own
 # import time. Labels are dictionary keys in every strategy and replay
-# loop, so they spell out __eq__ and __hash__ on their own fields; a
-# generic method over _fields costs a loop and a getattr per field on
-# every lookup.
+# loop, so a frozen value stores the tuple of its fields once, as _key, and
+# compares and hashes that tuple; reading the fields one by one on every
+# lookup costs a loop and a getattr per field.
 
 
 class _Record:
@@ -52,13 +53,21 @@ class _Record:
 
 
 class _Frozen(_Record):
-    """A hashable _Record whose attributes cannot be assigned or deleted;
-    constructors set them with object.__setattr__, which keeps the
-    attribute values inline (a dict made by ``vars(self)`` would slow
-    every later attribute read)."""
+    """A hashable _Record whose attributes cannot be assigned or deleted.
+    Constructors set each field, then ``_key``, the tuple of the field
+    values, with object.__setattr__, which keeps them inline (``vars(self)``
+    would slow every later attribute read); equality and hash are _key's."""
+
+    def _astuple(self) -> tuple:
+        return self._key
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._astuple())
+        return hash(self._key)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -68,33 +77,29 @@ class _Frozen(_Record):
 
 
 @total_ordering
-class Original(_Frozen):
+class _Ordered(_Frozen):
+    """A _Frozen ordered by ``_key`` against the same class only."""
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key < other._key
+        return NotImplemented
+
+
+class Original(_Ordered):
     """An original vertex v_i of a base graph."""
 
     _fields = ("index",)
 
     def __init__(self, index: int):
         object.__setattr__(self, "index", index)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.index,) == (other.index,)
-        return NotImplemented
-
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.index,) < (other.index,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.index,))
+        object.__setattr__(self, "_key", (index,))
 
     def __str__(self) -> str:
         return f"v{self.index}"
 
 
-@total_ordering
-class EdgeVertex(_Frozen):
+class EdgeVertex(_Ordered):
     """The vertex inserted into the edge {v_i, v_j}; endpoints stored sorted."""
 
     _fields = ("i", "j")
@@ -106,19 +111,7 @@ class EdgeVertex(_Frozen):
             raise InvalidParameter(f"edge vertex needs two distinct endpoints, got {i}")
         object.__setattr__(self, "i", i)
         object.__setattr__(self, "j", j)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.i, self.j) == (other.i, other.j)
-        return NotImplemented
-
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.i, self.j) < (other.i, other.j)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.i, self.j))
+        object.__setattr__(self, "_key", (i, j))
 
     def __str__(self) -> str:
         return f"u({self.i},{self.j})"
@@ -132,14 +125,7 @@ class Pair(_Frozen):
     def __init__(self, left: VertexLabel, right: VertexLabel):
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.left, self.right) == (other.left, other.right)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.left, self.right))
+        object.__setattr__(self, "_key", (left, right))
 
     def __str__(self) -> str:
         return f"({self.left}|{self.right})"
@@ -148,9 +134,21 @@ class Pair(_Frozen):
 VertexLabel = Original | EdgeVertex | Pair
 
 
+# an index in a label is an optional minus sign and ASCII digits, nothing else
+_ORIGINAL = re.compile(r"v(-?[0-9]+)")
+_EDGE_VERTEX = re.compile(r"u\((-?[0-9]+),(-?[0-9]+)\)")
+
+
 def parse_label(s: str) -> VertexLabel:
-    """Inverse of ``str(label)``: accepts "v3", "u(2,3)" and "(a|b)" forms."""
-    s = s.strip()
+    """Inverse of ``str(label)``: accepts "v3", "u(2,3)" and "(a|b)" forms.
+    A label nested deeper than the recursion limit is an InvalidParameter."""
+    try:
+        return _parse_label(s.strip())
+    except RecursionError:
+        raise InvalidParameter(f"vertex label nested too deeply: {s[:40]!r}...") from None
+
+
+def _parse_label(s: str) -> VertexLabel:
     if s.startswith("(") and s.endswith(")") and "|" in s:
         body = s[1:-1]
         depth = 0
@@ -160,19 +158,15 @@ def parse_label(s: str) -> VertexLabel:
             elif ch == ")":
                 depth -= 1
             elif ch == "|" and depth == 0:
-                return Pair(parse_label(body[:pos]), parse_label(body[pos + 1:]))
+                return Pair(_parse_label(body[:pos].strip()),
+                            _parse_label(body[pos + 1:].strip()))
         raise InvalidParameter(f"malformed pair label: {s!r}")
-    if s.startswith("u(") and s.endswith(")"):
-        try:
-            a, b = s[2:-1].split(",")
-            return EdgeVertex(int(a), int(b))
-        except ValueError as exc:
-            raise InvalidParameter(f"malformed edge-vertex label: {s!r}") from exc
-    if s.startswith("v"):
-        try:
-            return Original(int(s[1:]))
-        except ValueError as exc:
-            raise InvalidParameter(f"malformed vertex label: {s!r}") from exc
+    m = _EDGE_VERTEX.fullmatch(s)
+    if m is not None:
+        return EdgeVertex(int(m[1]), int(m[2]))
+    m = _ORIGINAL.fullmatch(s)
+    if m is not None:
+        return Original(int(m[1]))
     raise InvalidParameter(f"unrecognized vertex label: {s!r}")
 
 
@@ -212,6 +206,8 @@ class Graph:
             raise InvalidParameter("a graph needs at least one vertex")
         edge_set = set()
         for a, b in edges:
+            if type(a) is not int or type(b) is not int:  # not 1.0, "1", true
+                raise InvalidParameter(f"edge ({a!r},{b!r}): endpoints must be integers")
             if a == b:
                 raise InvalidParameter("loops are not allowed")
             if not (0 <= a < n and 0 <= b < n):

@@ -18,10 +18,11 @@ import json
 import time
 from collections.abc import Callable, Sequence
 
-from .errors import BudgetExceeded, InvalidParameter
+from .errors import MALFORMED_INPUT, BudgetExceeded, InvalidParameter
 from .graphs import (Graph, _Frozen, _Record, cartesian_product, complete, cycle_u,
                      middle_cycle, path, trimmed_middle_path)
 from .engine import Budget, compute_pebbling
+from .strategies import mc_pebbling_bound, product_hypothesis
 from . import engine, strategies
 
 # ---------------------------------------------------------------------------
@@ -33,11 +34,6 @@ def delta(m: int, n: int) -> int:
     the product argument, as a closed form. Positive for all m, n >= 2."""
     return ((1 << (n + 1)) - 2 * n - 2) * ((1 << (m + 1)) + 2 * m - 2) \
         + (1 << (m + 1)) + 4 * n - 1
-
-
-def product_hypothesis(m: int, n: int) -> bool:
-    """The regime in which the product bound is actually proven."""
-    return m >= 5 and n >= 5 and abs(n - m) >= 2
 
 
 def check_inequality_21(m: int, n: int) -> tuple[bool, int, Fraction, bool]:
@@ -104,9 +100,10 @@ class FormulaClaim(_Frozen):
         if (kind not in ("exact", "upper-bound", "inequality")
                 or (kind == "inequality") != (check is not None)):
             raise InvalidParameter(f"claim {name}: kind {kind!r} does not fit its fields")
-        for f, value in zip(self._fields, (name, kind, params, domain, formula,
-                                           instantiate, check, hypothesis, note)):
+        key = (name, kind, params, domain, formula, instantiate, check, hypothesis, note)
+        for f, value in zip(self._fields, key):
             object.__setattr__(self, f, value)
+        object.__setattr__(self, "_key", key)
 
 
 def _claim_list() -> list[FormulaClaim]:
@@ -142,7 +139,7 @@ def _claim_list() -> list[FormulaClaim]:
             name="middle_even_cycle",
             kind="exact",
             params=("n",),
-            formula=lambda n: (1 << (n + 1)) + 2 * n - 2,
+            formula=mc_pebbling_bound,
             domain=lambda n: n >= 2,
             instantiate=lambda n: (middle_cycle(n), None, 1),
             note=("imported statement; its own proof is in a reference that "
@@ -160,7 +157,7 @@ def _claim_list() -> list[FormulaClaim]:
             name="cor31_bound",
             kind="upper-bound",
             params=("n", "t"),
-            formula=lambda n, t: (1 << (n + 1)) + 2 * n - 2 + (t - 1) * ((1 << n) + n),
+            formula=lambda n, t: mc_pebbling_bound(n) + (t - 1) * ((1 << n) + n),
             domain=lambda n, t: n >= 2 and t >= 1,
             # the bound is for edge-vertex targets only, so the oracle runs
             # against a single representative (rotations act transitively)
@@ -170,7 +167,7 @@ def _claim_list() -> list[FormulaClaim]:
             name="product_bound",
             kind="upper-bound",
             params=("n", "m"),
-            formula=lambda n, m: ((1 << (n + 1)) + 2 * n - 2) * ((1 << (m + 1)) + 2 * m - 2),
+            formula=lambda n, m: mc_pebbling_bound(n) * mc_pebbling_bound(m),
             domain=lambda n, m: n >= 2 and m >= 2,
             instantiate=lambda n, m: (
                 cartesian_product(middle_cycle(n), middle_cycle(m)), None, 1),
@@ -199,15 +196,22 @@ def _claim_list() -> list[FormulaClaim]:
 CLAIMS: dict[str, FormulaClaim] = {c.name: c for c in _claim_list()}
 
 
-def known_value(name: str, **params) -> int:
-    """Evaluate a registered closed form at a parameter point."""
+def _claim_at(name: str, points: Sequence[dict]) -> FormulaClaim:
+    """The claim registered as name, once every point lies in its domain."""
     claim = CLAIMS.get(name)
     if claim is None:
         raise InvalidParameter(f"no claim named {name!r}")
+    for pt in points:
+        if not claim.domain(**pt):
+            raise InvalidParameter(f"{name} is not defined at {pt}")
+    return claim
+
+
+def known_value(name: str, **params) -> int:
+    """Evaluate a registered closed form at a parameter point."""
+    claim = _claim_at(name, [params])
     if claim.kind == "inequality":
         raise InvalidParameter(f"{name} is an inequality, not a value")
-    if not claim.domain(**params):
-        raise InvalidParameter(f"{name} is not defined at {params}")
     return claim.formula(**params)
 
 
@@ -216,7 +220,7 @@ def known_value(name: str, **params) -> int:
 
 
 class CheckRecord(_Record):
-    """``status`` is confirmed, refuted, inconclusive or unchecked;
+    """``status`` is confirmed, refuted or inconclusive;
     ``evidence`` is a new dict and ``timestamp`` the time of construction
     when None."""
 
@@ -267,7 +271,7 @@ class ClaimLedger:
                     rec = json.loads(line)
                     rows.append([rec["claim"], json.dumps(rec["params"], sort_keys=True),
                                  rec["status"], rec["hypothesis_ok"], rec["evidence_hash"]])
-                except (LookupError, TypeError, ValueError) as exc:
+                except MALFORMED_INPUT as exc:
                     raise InvalidParameter(f"malformed ledger {self.path} line {num}: "
                                            f"{type(exc).__name__}: {exc}") from None
         with open(csv_path, "w", newline="") as fh:
@@ -278,9 +282,6 @@ class ClaimLedger:
 
 def _check_point(claim: FormulaClaim, params: dict,
                  budget: Budget | None) -> CheckRecord:
-    if not claim.domain(**params):
-        return CheckRecord(claim.name, params, "unchecked",
-                           f"outside the claim's domain")
     hyp = claim.hypothesis(**params)
     if claim.kind == "inequality":
         holds, detail, evidence = claim.check(**params)
@@ -312,10 +313,10 @@ def check_claim(name: str, points: Sequence[dict],
                 budget: Budget | None = None,
                 ledger: ClaimLedger | None = None) -> list[CheckRecord]:
     """Check a registered claim at each parameter point; budget exhaustion
-    yields inconclusive, never refuted-by-timeout."""
-    claim = CLAIMS.get(name)
-    if claim is None:
-        raise InvalidParameter(f"no claim named {name!r}")
+    yields inconclusive, never refuted-by-timeout. A point outside the
+    claim's domain is an InvalidParameter, raised before any point is
+    checked."""
+    claim = _claim_at(name, points)
     records = [_check_point(claim, dict(pt), budget) for pt in points]
     if ledger is not None:
         ledger.append(records)

@@ -490,6 +490,11 @@ def mc_pebbling_bound(n: int) -> int:
     return (1 << (n + 1)) + 2 * n - 2
 
 
+def product_hypothesis(m: int, n: int) -> bool:
+    """The regime in which the product bound is actually proven."""
+    return m >= 5 and n >= 5 and abs(n - m) >= 2
+
+
 @lru_cache(maxsize=16)
 def _mc_product(n: int, m: int) -> Graph:
     return cartesian_product(_mc_graph(n), _mc_graph(m))
@@ -516,7 +521,7 @@ def product_collection_strategy(gp: Graph, d: Distribution,
     if d.total < fn * fm:
         raise PreconditionNotMet(f"{d.total} pebbles, hypothesis needs {fn * fm}")
     notes = []
-    if not (n >= 5 and m >= 5 and abs(n - m) >= 2):
+    if not product_hypothesis(m, n):
         notes.append("guarantee-void: outside the proven regime "
                      "(needs both halves >= 5 and size gap >= 2)")
     ti = gp.index_of(target)

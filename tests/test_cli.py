@@ -478,6 +478,9 @@ def test_verify_point_outside_the_domain_is_a_usage_error(argv, message, capsys)
 GOOD_GRAPH = path(2).to_json()
 GOOD_DIST = json.dumps({"counts": {"v1": 2}})
 SOLVE = ["solve", "--graph", "{g}", "--dist", "{d}", "--target", "v2"]
+# JSON nested past the recursion limit, and a label nesting 2,000 pairs
+TOO_DEEP = "[" * 100_000 + "]" * 100_000
+DEEP_LABEL = "(" * 2000 + "v1" + "|v1)" * 2000
 
 
 @pytest.mark.parametrize("files, bad, argv", [
@@ -492,11 +495,17 @@ SOLVE = ["solve", "--graph", "{g}", "--dist", "{d}", "--target", "v2"]
     ({"g": GOOD_GRAPH, "d": GOOD_DIST, "w": '[["v1"]]'}, "w",
      SOLVE + ["--replay", "{w}"]),
     ({"g": '{"vertices": [], "edges": []}'}, "g", ["pebbling-number", "--graph", "{g}"]),
+    ({"g": TOO_DEEP, "d": GOOD_DIST}, "g", SOLVE),
+    ({"g": GOOD_GRAPH, "d": json.dumps({"counts": {DEEP_LABEL: 2}})}, "d", SOLVE),
+    ({"g": '{"vertices": ["v0", "v1", "v2"], "edges": [[0, true], [true, 2]]}'}, "g",
+     ["pebbling-number", "--graph", "{g}"]),
+    ({"g": GOOD_GRAPH, "d": GOOD_DIST}, None, SOLVE[:-1] + [DEEP_LABEL]),
     ({}, None, ["verify", "cor24", "--n", "abc"]),
     ({}, None, ["verify", "graham", "--left", "path:x", "--right", "path:2"]),
 ], ids=["graph-without-edges", "one-element-edge", "dist-without-counts",
         "non-integer-count", "fractional-count", "boolean-count", "not-json",
-        "one-element-move", "empty-graph", "non-integer-range",
+        "one-element-move", "empty-graph", "too-deep-graph", "too-deep-label",
+        "boolean-endpoints", "too-deep-target", "non-integer-range",
         "non-integer-family-parameter"])
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, files, bad, argv):
     paths = {}
@@ -587,7 +596,8 @@ def test_a_checkpoint_not_as_saved_is_a_usage_error(tmp_path, capsys, edit):
     assert captured.out == "" and str(cp) in captured.err
 
 
-@pytest.mark.parametrize("raw", [b"{bad", b"\xff\xfe"], ids=["not-json", "not-utf8"])
+@pytest.mark.parametrize("raw", [b"{bad", b"\xff\xfe", TOO_DEEP.encode()],
+                         ids=["not-json", "not-utf8", "too-deep"])
 def test_a_checkpoint_that_is_not_json_is_a_usage_error(tmp_path, capsys, raw):
     g, cp = tmp_path / "p3.json", tmp_path / "cp.json"
     assert run(["construct", "path", "--n", "3", "--out", str(g)]) == 0
@@ -616,8 +626,8 @@ def test_verify_writes_ledger(tmp_path):
     assert "complete_graph" in csv_out.read_text()
 
 
-@pytest.mark.parametrize("bad", [b"{}", b"{bad", b"\xff\xfe"],
-                         ids=["not-a-record", "not-json", "not-utf8"])
+@pytest.mark.parametrize("bad", [b"{}", b"{bad", b"\xff\xfe", TOO_DEEP.encode()],
+                         ids=["not-a-record", "not-json", "not-utf8", "too-deep"])
 def test_verify_csv_names_the_malformed_ledger_line(tmp_path, capsys, bad):
     ledger = tmp_path / "ledger.jsonl"
     ledger.write_bytes(bad + b"\n")

@@ -838,7 +838,8 @@ def test_checkpoint_rejects_a_level_not_as_saved(tmp_path, edit):
         compute_pebbling(g, targets=target, checkpoint=SweepCheckpoint(cp_file))
 
 
-@pytest.mark.parametrize("raw", [b"{bad", b"\xff\xfe"], ids=["not-json", "not-utf8"])
+@pytest.mark.parametrize("raw", [b"{bad", b"\xff\xfe", b"[" * 100_000 + b"]" * 100_000],
+                         ids=["not-json", "not-utf8", "too-deep"])
 def test_checkpoint_that_is_not_json_names_its_file(tmp_path, raw):
     cp_file = tmp_path / "cp.json"
     cp_file.write_bytes(raw)

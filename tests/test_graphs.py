@@ -8,6 +8,7 @@ import pytest
 
 import pebblekit
 
+from pebblekit.engine import Move
 from pebblekit.errors import (DisconnectedGraph, InvalidParameter,
                               UnknownVertex)
 from pebblekit.graphs import (EdgeVertex, Graph, Original, Pair,
@@ -27,6 +28,15 @@ def test_label_str_roundtrip():
         assert parse_label(str(lab)) == lab
 
 
+def test_hashes_are_those_of_the_field_tuples():
+    # pins set and dict iteration order, and so witnesses and digests
+    v0, u = Original(0), EdgeVertex(1, 2)
+    assert hash(Original(3)) == hash((3,))
+    assert hash(EdgeVertex(5, 2)) == hash((2, 5))
+    assert hash(Pair(v0, u)) == hash((v0, u)) == hash(((0,), (1, 2)))
+    assert hash(Move(v0, u)) == hash((v0, u))
+
+
 def test_edge_vertex_sorts_endpoints():
     assert EdgeVertex(3, 0) == EdgeVertex(0, 3)
     ev = EdgeVertex(3, 0)
@@ -44,8 +54,14 @@ def test_cycle_u_wraps():
     assert path_u(2) == EdgeVertex(2, 3)
 
 
+# an index is an optional minus sign and ASCII digits only; a pair label
+# nested past the recursion limit is garbage too, not a RecursionError
+DEEP_LABEL = "(" * 2000 + "v1" + "|v1)" * 2000
+
+
 def test_parse_label_garbage():
-    for bad in ("w3", "u(1)", "v", "(a|b", ""):
+    for bad in ("w3", "u(1)", "v", "(a|b", "", "v1_0", "v+1", "v 1", "v\u0661",
+                "u(1,+2)", "u(1,2,3)", DEEP_LABEL):
         with pytest.raises(InvalidParameter):
             parse_label(bad)
 
@@ -92,6 +108,16 @@ def test_a_graph_without_vertices_is_rejected():
         Graph([], [])
     with pytest.raises(InvalidParameter):
         Graph.from_json('{"vertices": [], "edges": []}')
+
+
+def test_edge_endpoints_must_be_integers():
+    # a boolean endpoint would be written back as true and change graph_hash
+    labels = [Original(0), Original(1), Original(2)]
+    for edges in ([(0, True), (True, 2)], [(0, 1.0), (1, 2)], [(0, "1"), (1, 2)]):
+        with pytest.raises(InvalidParameter):
+            Graph(labels, edges)
+    with pytest.raises(InvalidParameter):
+        Graph.from_json('{"vertices": ["v0", "v1", "v2"], "edges": [[0, true], [true, 2]]}')
 
 
 def test_disconnected_rejected():

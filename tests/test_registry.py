@@ -103,9 +103,12 @@ def test_check_claim_budget_inconclusive():
     assert records[0].status == "inconclusive"
 
 
-def test_check_claim_out_of_domain_unchecked():
-    records = check_claim("cor24", [{"n": 2}])
-    assert records[0].status == "unchecked"
+def test_check_claim_out_of_domain_unchecked(tmp_path):
+    # a point outside the domain raises before any point is checked
+    ledger = ClaimLedger(str(tmp_path / "ledger.jsonl"))
+    with pytest.raises(InvalidParameter, match=re.escape("cor24 is not defined at {'n': 2}")):
+        check_claim("cor24", [{"n": 3}, {"n": 2}], ledger=ledger)
+    assert not (tmp_path / "ledger.jsonl").exists()
 
 
 def test_check_claim_ledger_and_csv(tmp_path):
@@ -121,8 +124,8 @@ def test_check_claim_ledger_and_csv(tmp_path):
     assert "complete_graph" in text and "confirmed" in text
 
 
-@pytest.mark.parametrize("bad", [b"{}", b"{bad", b"\xff\xfe"],
-                         ids=["not-a-record", "not-json", "not-utf8"])
+@pytest.mark.parametrize("bad", [b"{}", b"{bad", b"\xff\xfe", b"[" * 100_000 + b"]" * 100_000],
+                         ids=["not-a-record", "not-json", "not-utf8", "too-deep"])
 def test_write_csv_names_the_malformed_ledger_line(tmp_path, bad):
     file = tmp_path / "ledger.jsonl"
     ledger = ClaimLedger(str(file))
