@@ -23,8 +23,8 @@ from collections.abc import Callable
 from . import graphs, registry, strategies
 from .engine import (Budget, Distribution, MoveSequence, compute_pebbling,
                      is_solvable, replay, SweepCheckpoint)
-from .errors import (MALFORMED_INPUT, BudgetExceeded, InvalidParameter, PebbleError,
-                     PreconditionNotMet, UnknownVertex)
+from .errors import (BudgetExceeded, InvalidParameter, PebbleError, PreconditionNotMet,
+                     UnknownVertex, read_int, read_json)
 from .graphs import Graph, Original, parse_label
 
 EXIT_OK = 0
@@ -39,18 +39,15 @@ def _budget(args) -> Budget:
     return Budget.from_env(args.budget_nodes, args.budget_seconds)
 
 
-def _int(text: str, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise InvalidParameter(f"{what} needs an integer, got {text!r}") from None
-
-
 def _positive(text: str) -> int:
-    """The argparse type of every --t: an integer >= 1."""
-    if not text.isdecimal() or int(text) < 1:
+    """The argparse type of every single-valued --t: an integer >= 1."""
+    try:
+        t = read_int(text, "--t")
+    except InvalidParameter:
+        t = 0
+    if t < 1:
         raise argparse.ArgumentTypeError(f"needs an integer >= 1, got {text!r}")
-    return int(text)
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -82,19 +79,7 @@ def graph_from_spec(spec: str) -> Graph:
     if name not in FAMILIES:
         raise PebbleError(f"unknown family {name!r} "
                           f"(known: {', '.join(sorted(FAMILIES))})")
-    return FAMILIES[name](_int(num, f"family spec {spec!r}"))
-
-
-def _read_json(path: str, parse: Callable):
-    """Read a graph, distribution or witness file: ``parse`` turns its JSON
-    into the object. A file that is not JSON, or JSON not of the shape
-    ``parse`` expects, is an InvalidParameter naming the file."""
-    with open(path) as fh:
-        try:
-            return parse(json.load(fh))
-        except MALFORMED_INPUT as exc:
-            raise InvalidParameter(f"malformed input file {path}: "
-                                   f"{type(exc).__name__}: {exc}") from None
+    return FAMILIES[name](read_int(num, f"family spec {spec!r}"))
 
 
 def _distribution(data) -> Distribution:
@@ -115,10 +100,10 @@ def cmd_construct(args) -> int:
                                      graph_from_spec(args.right))
     elif args.family == "delete":
         labels = [parse_label(s) for s in args.delete.split(",")]
-        g = graphs.delete_vertices(_read_json(args.graph, Graph.from_json_dict),
-                                   labels)
+        g = read_json(args.graph, Graph.from_json_dict, "input file")
+        g = graphs.delete_vertices(g, labels)
     else:
-        g = FAMILIES[args.family](args.n)
+        g = FAMILIES[args.family](read_int(args.n, "--n"))
     text = g.to_json(indent=2)
     if args.out:
         with open(args.out, "w") as fh:
@@ -133,15 +118,15 @@ def cmd_construct(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    g = _read_json(args.graph, Graph.from_json_dict)
+    g = read_json(args.graph, Graph.from_json_dict, "input file")
     target = parse_label(args.target)
-    d = _read_json(args.dist, _distribution)
+    d = read_json(args.dist, _distribution, "input file")
     # an unknown target, or pebbles off the graph, is a usage error with or
     # without --replay
     g.index_of(target)
     d.vector(g)
     if args.replay:
-        seq = _read_json(args.replay, MoveSequence.from_json_list)
+        seq = read_json(args.replay, MoveSequence.from_json_list, "input file")
         final = replay(g, d, seq)  # raises on an illegal move
         if final.get(target) >= args.t:
             print(f"verified: {len(seq)} moves leave "
@@ -163,7 +148,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_pebbling_number(args) -> int:
-    g = _read_json(args.graph, Graph.from_json_dict)
+    g = read_json(args.graph, Graph.from_json_dict, "input file")
     targets = [parse_label(s) for s in args.targets.split(",")] if args.targets else None
     checkpoint = SweepCheckpoint(args.checkpoint) if args.checkpoint else None
     report = compute_pebbling(g, targets=targets, t=args.t,
@@ -194,8 +179,8 @@ _STRATEGY_ALIASES = {
 
 def cmd_explain(args) -> int:
     name = _STRATEGY_ALIASES[args.strategy]
-    g = _read_json(args.graph, Graph.from_json_dict)
-    d = _read_json(args.dist, _distribution)
+    g = read_json(args.graph, Graph.from_json_dict, "input file")
+    d = read_json(args.dist, _distribution, "input file")
     target = parse_label(args.target)
     t = args.t
     if t != 1 and name in ("middle-path", "product"):
@@ -240,7 +225,7 @@ def cmd_explain(args) -> int:
 def _parse_range(option: str, text: str) -> list[int]:
     """The values of a range like 3..5 or a single value like 4."""
     lo, sep, hi = text.partition("..")
-    values = list(range(_int(lo, option), _int(hi if sep else lo, option) + 1))
+    values = list(range(read_int(lo, option), read_int(hi if sep else lo, option) + 1))
     if not values:
         raise InvalidParameter(f"{option} range {text!r} is empty")
     return values
@@ -307,10 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "strategies, formula verification.")
     sub = parser.add_subparsers(dest="command", required=True)
     budget = argparse.ArgumentParser(add_help=False)
-    budget.add_argument("--budget-nodes", type=int,
+    budget.add_argument("--budget-nodes",
                         help="cap on search nodes; pebbling-number charges one "
                              "per DP candidate (default: env or 5e6)")
-    budget.add_argument("--budget-seconds", type=float,
+    budget.add_argument("--budget-seconds",
                         help="wall-time cap in seconds (default: env or none)")
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", help="write graph JSON here")
@@ -324,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     families = p.add_subparsers(dest="family", required=True)
     p.set_defaults(func=cmd_construct)
     for name in FAMILIES:
-        families.add_parser(name, parents=[out]).add_argument("--n", type=int, required=True)
+        families.add_parser(name, parents=[out]).add_argument("--n", required=True)
     q = families.add_parser("product", parents=[out],
                             help="Cartesian product of two family specs")
     q.add_argument("--left", required=True, help="family spec, e.g. m-cycle:2")
@@ -384,7 +369,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except BudgetExceeded as exc:
-        print(f"inconclusive: {exc}")
+        print(f"inconclusive: {exc} ({exc.nodes_explored} nodes explored, "
+              f"{exc.elapsed:.2f} s)")
         return EXIT_INCONCLUSIVE
     except MemoryError:
         print("inconclusive: out of memory")
@@ -392,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
     except PreconditionNotMet as exc:
         print(f"hypothesis not met: {exc}")
         return EXIT_NEGATIVE
-    except (PebbleError, OSError, json.JSONDecodeError) as exc:
+    except (PebbleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -8,40 +8,17 @@ explicit stack, so no input can exhaust Python's recursion limit. States
 are count vectors packed into ints, and every move carries precomputed
 changes to the packed key and to the potential, so a search node costs a
 few integer operations instead of rebuilding either from the vector.
-Beside the search runs a refutation, ``_closure``, that grows the set of
-distributions reachable from the root one level (one move) at a time and
-counts the states the search counts. The search resumes it every
-CLOSURE_EVERY of its nodes, up to CLOSURE_RATIO times its own nodes; when
-it exhausts the set, the search returns its count, the count the search
-would reach, and charges the rest to the budget. The closure knows no
-budget: the search drops it when its count passes the nodes left under the
-cap, and between two of the search's budget charges it runs at most
-CLOSURE_RATIO * CLOSURE_EVERY nodes, so the search's charges are the only
-deadline checks needed. Verdicts, witnesses, node counts and budget stops
-are the search's alone.
+Beside the search runs a refutation, ``_closure``, that counts the states
+the search counts and so can end an unsolvable search early
+(``_solve_counts`` says when). Verdicts, witnesses, node counts and budget
+stops are the search's alone.
 
 Pebbling and t-pebbling numbers come from a dynamic program over the
-unsolvable distributions, not from the solver. They form a down-set
-(removing a pebble never makes a distribution solvable), so for every
-unsolvable c of size k, c minus one pebble on top(c), its highest-index
-vertex holding a pebble, is unsolvable of size k-1. Level k's candidates
-are therefore u + e_v for u in U_{k-1} and v >= top(u): each is generated
-exactly once, from that one parent, with no set to deduplicate. A
-candidate is unsolvable iff it holds fewer than t pebbles on the target
-and every legal move, including moves out of the target, lands in
-U_{k-1}. Each member carries its exact potential, so a candidate whose
-potential is below t is unsolvable by the weight function lemma and is
-kept without that test, and the test reads only the vertices holding two
-or more pebbles, found with one mask. The first empty level is
-f_t(G, target), and the colex-first member of the last non-empty level
-is the witness. The work, and what a ``Budget`` is charged (one node per
-candidate; ``distributions_checked`` counts the candidates), scales with
-the unsolvable set rather than with the C(k+n-1, n-1) distributions of a
-level. Over several targets, the DP runs once per orbit under the graph's
-automorphisms, and only when a vertex permutation taking one target to
-another has been found and checked against the edge set are the two
-merged; the count of candidates and the budget then cover the
-representatives only. ``sweep_level`` still classifies a single level by
+unsolvable distributions (``_downset_dp``), not from the solver, so the
+work, and what a ``Budget`` is charged, scales with the unsolvable set
+rather than with the C(k+n-1, n-1) distributions of a level. Over several
+targets it runs once per orbit under the graph's automorphisms
+(``compute_pebbling``). ``sweep_level`` still classifies a single level by
 enumeration and the solver; tests use it as the reference.
 
 All arithmetic that feeds a pruning decision is exact integer arithmetic;
@@ -57,8 +34,8 @@ import time
 from collections.abc import Generator, Iterable, Iterator, Sequence
 from itertools import groupby
 
-from .errors import (MALFORMED_INPUT, BudgetExceeded, InsufficientPebbles,
-                     InvalidParameter, NotAdjacent)
+from .errors import (BudgetExceeded, InsufficientPebbles, InvalidParameter,
+                     NotAdjacent, read_int, read_json, read_seconds)
 from .graphs import Graph, VertexLabel, _Frozen, _Record, parse_label, target_orbits
 
 # ---------------------------------------------------------------------------
@@ -206,17 +183,6 @@ NODE_BUDGET_ENV = "PEBBLEKIT_NODE_BUDGET"
 TIME_BUDGET_ENV = "PEBBLEKIT_TIME_BUDGET"
 
 
-def _env_cap(name: str, parse, what: str, default):
-    """The cap environment variable name holds; default when unset or empty."""
-    text = os.environ.get(name)
-    if not text:
-        return default
-    try:
-        return parse(text)
-    except ValueError:
-        raise InvalidParameter(f"{name} needs {what}, got {text!r}") from None
-
-
 class Budget:
     """Caps on explored nodes and wall time; exhaustion raises, never guesses.
 
@@ -237,16 +203,19 @@ class Budget:
         self.nodes = 0
 
     @classmethod
-    def from_env(cls, node_cap: int | None = None,
-                 seconds: float | None = None) -> "Budget":
-        """Each cap on its own: the one given, else its environment variable
-        (an empty one counts as unset), else its default: DEFAULT_NODE_BUDGET
-        nodes and no time cap."""
-        if node_cap is None:
-            node_cap = _env_cap(NODE_BUDGET_ENV, int, "an integer", DEFAULT_NODE_BUDGET)
-        if seconds is None:
-            seconds = _env_cap(TIME_BUDGET_ENV, float, "a number of seconds", None)
-        return cls(node_cap, seconds)
+    def from_env(cls, nodes: str | None = None, seconds: str | None = None) -> "Budget":
+        """Each cap on its own: the text of its flag (``nodes`` of --budget-nodes,
+        ``seconds`` of --budget-seconds), else of its environment variable (an
+        empty one counts as unset), else its default: DEFAULT_NODE_BUDGET nodes
+        and no time cap. Bad text is an InvalidParameter naming its source."""
+        caps = []
+        for text, flag, var, read, default in (
+                (nodes, "--budget-nodes", NODE_BUDGET_ENV, read_int, DEFAULT_NODE_BUDGET),
+                (seconds, "--budget-seconds", TIME_BUDGET_ENV, read_seconds, None)):
+            if text is None:
+                text, flag = os.environ.get(var) or None, var
+            caps.append(default if text is None else read(text, flag))
+        return cls(*caps)
 
     def charge(self, n: int = 1) -> None:
         self.nodes += n
@@ -627,15 +596,8 @@ class SweepCheckpoint:
 
     def _load(self) -> dict:
         if self._data is None:
-            data = {}
-            if os.path.exists(self.path):
-                with open(self.path, encoding="utf-8") as fh:
-                    try:
-                        data = json.load(fh)
-                    except MALFORMED_INPUT as exc:
-                        raise InvalidParameter(f"malformed checkpoint {self.path}: "
-                                               f"{type(exc).__name__}: {exc}") from None
-            self._data = data
+            self._data = (read_json(self.path, lambda data: data, "checkpoint")
+                          if os.path.exists(self.path) else {})
         return self._data
 
     def _store(self) -> None:
@@ -715,7 +677,7 @@ def pebbling_number_vertex(g: Graph, v: VertexLabel, t: int = 1,
 
 def pebbling_number(g: Graph, targets: Sequence[VertexLabel] | None = None,
                     budget: Budget | None = None) -> int:
-    """f(g), optionally restricted to a user-asserted representative list."""
+    """f(g), or the largest f(g, v) over the given targets."""
     return compute_pebbling(g, targets=targets, t=1, budget=budget).value
 
 
@@ -748,19 +710,23 @@ def _downset_dp(g: Graph, ti: int, t: int, budget: Budget | None,
     Each candidate of level k is generated once, from its one parent
     c - e_top(c), where top(c) = (c.bit_length() - 1) // b is the highest
     vertex holding a pebble: u in U_{k-1} is extended only by e_v for
-    v >= top(u). Since U is a down-set, every c in U_k has that parent in
-    U_{k-1}, so U_k is the same as when every u is extended by every e_v,
-    and no set is needed to deduplicate.
+    v >= top(u). U is a down-set (removing a pebble never makes a
+    distribution solvable), so every c in U_k has that parent in U_{k-1},
+    U_k is the same as when every u is extended by every e_v, and no set is
+    needed to deduplicate.
 
-    A level maps each member to its scaled potential sum c_v*2^(ecc-dist(v)),
-    so a candidate's potential is its parent's plus one weight. The
-    potential never rises under a move (the basic case of Hurlbert's weight
-    function lemma), so a candidate below t*2^ecc is unsolvable and joins
-    U_k with no lookup. Any other candidate is tested only at its rich
-    vertices, those holding at least 2 pebbles: c & high, where high holds
-    every bit of each field but the lowest, is nonzero exactly in their
-    fields, which are walked from the top down. A checkpoint keeps the
-    members only; their potentials are recomputed when a level is loaded.
+    A candidate is unsolvable iff it holds fewer than t pebbles on the
+    target and every legal move, including moves out of the target, lands
+    in U_{k-1}. A level maps each member to its scaled potential sum
+    c_v*2^(ecc-dist(v)), so a candidate's potential is its parent's plus
+    one weight. The potential never rises under a move (the basic case of
+    Hurlbert's weight function lemma), so a candidate below t*2^ecc is
+    unsolvable and joins U_k with no lookup. Any other candidate is tested
+    only at its rich vertices, those holding at least 2 pebbles: c & high,
+    where high holds every bit of each field but the lowest, is nonzero
+    exactly in their fields, which are walked from the top down. A
+    checkpoint keeps the members only; their potentials are recomputed
+    when a level is loaded.
     """
     bits = _field_bits(g, ti, t)
     n = g.n
@@ -860,7 +826,7 @@ def compute_pebbling(g: Graph, targets: Sequence[VertexLabel] | None = None,
     best_value = 0
     checked = max_level = 0
     for lab, i in zip(target_list, indices):
-        rep = orbits[i][0]
+        rep = orbits[i]
         if rep not in values:
             value, vec, cands, widest = _downset_dp(g, rep, t, budget, checkpoint)
             checked += cands

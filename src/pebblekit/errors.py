@@ -1,4 +1,7 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the readers of outside input."""
+
+import json
+import re
 
 
 class PebbleError(Exception):
@@ -49,3 +52,35 @@ class BudgetExceeded(PebbleError):
 # wrong shape or type, or nesting deeper than the recursion limit.
 MALFORMED_INPUT = (PebbleError, ArithmeticError, AttributeError, LookupError,
                    TypeError, ValueError, RecursionError)
+
+# An integer is an optional minus sign and ASCII digits, and seconds are ASCII
+# digits with an optional fraction; int() and float() would also take "1_0",
+# " 3", "+3", other scripts' digits and "nan".
+INT = r"-?[0-9]+"
+_INT = re.compile(INT)
+_SECONDS = re.compile(r"[0-9]+(?:\.[0-9]+)?")
+
+
+def read_int(text: str, what: str) -> int:
+    """The integer ``text`` spells, or an InvalidParameter naming ``what``."""
+    if not _INT.fullmatch(text):
+        raise InvalidParameter(f"{what} needs an integer, got {text!r}")
+    return int(text)
+
+
+def read_seconds(text: str, what: str) -> float:
+    """The number of seconds ``text`` spells, like ``read_int``."""
+    if not _SECONDS.fullmatch(text):
+        raise InvalidParameter(f"{what} needs a number of seconds, got {text!r}")
+    return float(text)
+
+
+def read_json(path: str, parse, what: str):
+    """``parse`` of the UTF-8 JSON file at ``path``; a MALFORMED_INPUT error,
+    in reading or in ``parse``, becomes an InvalidParameter naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return parse(json.load(fh))
+        except MALFORMED_INPUT as exc:
+            raise InvalidParameter(f"malformed {what} {path}: "
+                                   f"{type(exc).__name__}: {exc}") from None

@@ -20,7 +20,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from functools import total_ordering
 from itertools import combinations
 
-from .errors import DisconnectedGraph, InvalidParameter, UnknownVertex
+from .errors import INT, DisconnectedGraph, InvalidParameter, UnknownVertex
 
 # ---------------------------------------------------------------------------
 # Value classes
@@ -134,9 +134,9 @@ class Pair(_Frozen):
 VertexLabel = Original | EdgeVertex | Pair
 
 
-# an index in a label is an optional minus sign and ASCII digits, nothing else
-_ORIGINAL = re.compile(r"v(-?[0-9]+)")
-_EDGE_VERTEX = re.compile(r"u\((-?[0-9]+),(-?[0-9]+)\)")
+# an index in a label is an integer as ``read_int`` reads one
+_ORIGINAL = re.compile(rf"v({INT})")
+_EDGE_VERTEX = re.compile(rf"u\(({INT}),({INT})\)")
 
 
 def parse_label(s: str) -> VertexLabel:
@@ -485,23 +485,16 @@ def automorphism_taking(g: Graph, a: int, b: int) -> tuple[int, ...] | None:
     return tuple(perm)
 
 
-def target_orbits(g: Graph, targets: Sequence[int]) -> dict[int, tuple[int, tuple[int, ...]]]:
-    """Each target index -> (its representative, an automorphism of g taking
-    the representative to it). A target joins the first earlier
-    representative that ``automorphism_taking`` maps onto it, and otherwise
-    becomes a representative itself, so each representative is the first
-    of its class in list order and every merge carries a checked map."""
-    out: dict[int, tuple[int, tuple[int, ...]]] = {}
+def target_orbits(g: Graph, targets: Sequence[int]) -> dict[int, int]:
+    """Each target index -> its representative: the first earlier
+    representative that ``automorphism_taking`` maps onto it, else itself.
+    So each representative is the first of its class in list order, and
+    every merge rests on a checked map."""
+    out: dict[int, int] = {}
     reps: list[int] = []
     for x in targets:
-        if x in out:
-            continue
-        for r in reps:
-            perm = automorphism_taking(g, r, x)
-            if perm is not None:
-                out[x] = (r, perm)
-                break
-        else:
-            reps.append(x)
-            out[x] = (x, tuple(range(g.n)))
+        if x not in out:
+            out[x] = next((r for r in reps if automorphism_taking(g, r, x)), x)
+            if out[x] == x:
+                reps.append(x)
     return out

@@ -22,7 +22,7 @@ from .errors import MALFORMED_INPUT, BudgetExceeded, InvalidParameter
 from .graphs import (Graph, _Frozen, _Record, cartesian_product, complete, cycle_u,
                      middle_cycle, path, trimmed_middle_path)
 from .engine import Budget, compute_pebbling
-from .strategies import mc_pebbling_bound, product_hypothesis
+from .strategies import mc_pebbling_bound, product_hypothesis, tmp_pebbling_bound
 from . import engine, strategies
 
 # ---------------------------------------------------------------------------
@@ -32,7 +32,7 @@ from . import engine, strategies
 def delta(m: int, n: int) -> int:
     """The pebble surplus left over after the rich-fiber extraction step of
     the product argument, as a closed form. Positive for all m, n >= 2."""
-    return ((1 << (n + 1)) - 2 * n - 2) * ((1 << (m + 1)) + 2 * m - 2) \
+    return ((1 << (n + 1)) - 2 * n - 2) * mc_pebbling_bound(m) \
         + (1 << (m + 1)) + 4 * n - 1
 
 
@@ -131,7 +131,7 @@ def _claim_list() -> list[FormulaClaim]:
             name="cor24",
             kind="exact",
             params=("n",),
-            formula=lambda n: (1 << (n - 2)) + n - 2,
+            formula=tmp_pebbling_bound,
             domain=lambda n: n >= 3,
             instantiate=lambda n: (trimmed_middle_path(n), None, 1),
         ),
@@ -149,7 +149,7 @@ def _claim_list() -> list[FormulaClaim]:
             name="cor27_bound",
             kind="upper-bound",
             params=("n", "t"),
-            formula=lambda n, t: (t << (n + 1)) + 2 * n - 2,
+            formula=mc_pebbling_bound,
             domain=lambda n, t: n >= 2 and t >= 1,
             instantiate=lambda n, t: (middle_cycle(n), None, t),
         ),
@@ -157,7 +157,7 @@ def _claim_list() -> list[FormulaClaim]:
             name="cor31_bound",
             kind="upper-bound",
             params=("n", "t"),
-            formula=lambda n, t: mc_pebbling_bound(n) + (t - 1) * ((1 << n) + n),
+            formula=lambda n, t: mc_pebbling_bound(n) + (t - 1) * tmp_pebbling_bound(n + 2),
             domain=lambda n, t: n >= 2 and t >= 1,
             # the bound is for edge-vertex targets only, so the oracle runs
             # against a single representative (rotations act transitively)

@@ -271,7 +271,7 @@ def middle_path_strategy(n: int, d: Distribution, target: VertexLabel) -> Strate
     g = _tmp_graph(n)
     if target not in g:
         raise UnknownVertex(f"no vertex labelled {target}")
-    floor = (1 << (n - 2)) + n - 2
+    floor = tmp_pebbling_bound(n)
     if d.total < floor:
         raise PreconditionNotMet(
             f"{d.total} pebbles, hypothesis needs {floor}")
@@ -288,8 +288,14 @@ def cor24_witness(n: int) -> tuple[Distribution, VertexLabel]:
     if n < 3:
         raise InvalidParameter(f"need n >= 3, got {n}")
     counts: dict[VertexLabel, int] = {Original(m): 1 for m in range(2, n)}
-    counts[path_u(n - 1)] = (1 << (n - 2)) - 1
+    counts[path_u(n - 1)] = tmp_pebbling_bound(n) - 1 - len(counts)
     return Distribution(counts), path_u(1)
+
+
+def tmp_pebbling_bound(n: int) -> int:
+    """The exact pebbling number of M(P_n) - {v_1, v_n} (Corollary 2.4). At
+    n + 2 it is what a round of the M(C_{2n}) t-strategy spends (Corollary 3.1)."""
+    return (1 << (n - 2)) + n - 2
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +382,7 @@ def _mc_half_round(n: int, counts: list[int], use_b: bool,
     m = n + 2
     ut, vt = _tmp_tables(m)
     frame = _mc_half_frame(n, use_b)
-    budget = (1 << n) + n
+    budget = tmp_pebbling_bound(m)
     sub_counts = [0] * len(frame)
     # take from u_1..u_n, then v_1..v_n of the half until the budget is
     # spent; u_0's own pile stays put, as the round must land a fresh pebble
@@ -402,7 +408,7 @@ def _mc_solve_u0(n: int, counts: list[int], t: int,
             + sum(counts[v[i]] for i in range(1, n + 1))
         half_b = sum(counts[u[i]] for i in range(n, two_n)) \
             + sum(counts[v[i]] for i in range(n + 1, two_n)) + counts[v[0]]
-        if max(half_a, half_b) < (1 << n) + n:
+        if max(half_a, half_b) < tmp_pebbling_bound(n + 2):
             break
         use_b = half_b > half_a
         _mc_half_round(n, counts, use_b, moves)
@@ -442,7 +448,7 @@ def _mc_strategy(n: int, counts: list[int], target: int, t: int,
     any move, below t * 2^(n+1) + 2n - 2 pebbles. The argument runs in the
     one dihedral frame that puts the target on u_0 or v_0, reflected for a
     v-target when that puts its heavier side on u_0..u_{n-1}."""
-    floor = (t << (n + 1)) + 2 * n - 2
+    floor = mc_pebbling_bound(n, t)
     total = sum(counts)
     if total < floor:
         raise PreconditionNotMet(f"{total} pebbles, hypothesis needs {floor}")
@@ -485,9 +491,9 @@ def middle_cycle_t_strategy(n: int, d: Distribution, target: VertexLabel,
 # Product collection (Cartesian product of two even-cycle middle graphs)
 
 
-def mc_pebbling_bound(n: int) -> int:
-    """The exact pebbling number of M(C_{2n}), as a closed form."""
-    return (1 << (n + 1)) + 2 * n - 2
+def mc_pebbling_bound(n: int, t: int = 1) -> int:
+    """f_t(M(C_{2n})) <= t * 2^(n+1) + 2n - 2 (Corollary 2.7), equal at t = 1 (Lemma 2.6)."""
+    return (t << (n + 1)) + 2 * n - 2
 
 
 def product_hypothesis(m: int, n: int) -> bool:

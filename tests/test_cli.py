@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 
 import pytest
 
@@ -220,6 +221,49 @@ def test_each_budget_cap_is_resolved_on_its_own(monkeypatch, flags, env, node_ca
     budget = cli._budget(args)
     assert budget.node_cap == node_cap
     assert (budget.deadline is not None) == timed
+
+
+def test_inconclusive_reports_the_nodes_and_seconds_spent(tmp_path, capsys):
+    g = tmp_path / "p4.json"
+    assert run(["construct", "path", "--n", "4", "--out", str(g)]) == 0
+    capsys.readouterr()
+    assert run(["pebbling-number", "--graph", str(g), "--budget-nodes", "3"]) == 2
+    m = re.fullmatch(r"inconclusive: node budget of 3 exhausted "
+                     r"\((\d+) nodes explored, \d+\.\d\d s\)\n", capsys.readouterr().out)
+    assert m and int(m[1]) > 3  # the DP charges a parent's candidates at once
+
+
+# int() and float() take each of these; every reader of a number rejects them
+@pytest.mark.parametrize("text", ["1_0", " 3", "+3", "\u0663"],
+                         ids=["underscore", "space", "plus", "arabic-indic"])
+@pytest.mark.parametrize("argv, env, named", [
+    (["construct", "path", "--n", "{x}"], {}, "--n"),
+    (["construct", "product", "--left", "path:{x}", "--right", "path:2"], {}, "path:{x}"),
+    (["verify", "cor24", "--n", "{x}"], {}, "--n"),
+    (["verify", "cor24", "--n", "3..{x}"], {}, "--n"),
+    (["pebbling-number", "--graph", "{g}", "--t", "{x}"], {}, "--t"),
+    (["verify", "cor27", "--n", "2", "--t", "{x}"], {}, "--t"),
+    (["pebbling-number", "--graph", "{g}", "--budget-nodes", "{x}"], {}, "--budget-nodes"),
+    (["pebbling-number", "--graph", "{g}", "--budget-seconds", "{x}"], {},
+     "--budget-seconds"),
+    (["pebbling-number", "--graph", "{g}"], {"PEBBLEKIT_NODE_BUDGET": "{x}"},
+     "PEBBLEKIT_NODE_BUDGET"),
+    (["pebbling-number", "--graph", "{g}"], {"PEBBLEKIT_TIME_BUDGET": "{x}"},
+     "PEBBLEKIT_TIME_BUDGET"),
+], ids=["construct-n", "family-spec", "verify-value", "verify-range-bound", "t",
+        "verify-t", "budget-nodes", "budget-seconds", "node-env", "time-env"])
+def test_every_number_input_rejects_the_same_strings(tmp_path, capsys, monkeypatch,
+                                                     argv, env, named, text):
+    g = tmp_path / "p3.json"
+    assert run(["construct", "path", "--n", "3", "--out", str(g)]) == 0
+    capsys.readouterr()
+    # a small cap, so that a reading that wrongly succeeds ends quickly
+    monkeypatch.setenv("PEBBLEKIT_NODE_BUDGET", "1000")
+    monkeypatch.delenv("PEBBLEKIT_TIME_BUDGET", raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value.format(x=text))
+    assert run([arg.format(g=g, x=text) for arg in argv]) == EXIT_USAGE
+    assert named.format(x=text) in capsys.readouterr().err
 
 
 QUERY_P3 = ["--graph", "{g}", "--dist", "{d}", "--target", "v3"]
@@ -575,6 +619,22 @@ def test_construct_and_verify_subcommands_come_from_the_tables():
         assert _flags(verify[cli_name]) == params | budget | {"--ledger", "--csv"}
     assert _flags(verify["graham"], required=True) == {"--left", "--right"}
     assert _flags(verify["graham"]) == {"--left", "--right"} | budget
+
+
+def _parsers(parser):
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parsers(sub)
+
+
+def test_no_flag_is_read_by_int_or_float():
+    # outside text becomes a number only in errors.read_int and read_seconds,
+    # which reject what int() and float() take beyond ASCII digits
+    for parser in _parsers(build_parser()):
+        for action in parser._actions:
+            assert action.type not in (int, float), (parser.prog, action.option_strings)
 
 
 @pytest.mark.parametrize("edit", [
