@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from collections.abc import Callable
 
 from . import graphs, registry, strategies
 from .engine import (Budget, Distribution, MoveSequence, compute_pebbling,
                      is_solvable, replay, SweepCheckpoint)
-from .errors import (BudgetExceeded, InvalidParameter, PebbleError, PreconditionNotMet,
+from .errors import (INT, BudgetExceeded, InvalidParameter, PebbleError, PreconditionNotMet,
                      UnknownVertex, read_int, read_json)
 from .graphs import Graph, Original, parse_label
 
@@ -41,10 +42,7 @@ def _budget(args) -> Budget:
 
 def _positive(text: str) -> int:
     """The argparse type of every single-valued --t: an integer >= 1."""
-    try:
-        t = read_int(text, "--t")
-    except InvalidParameter:
-        t = 0
+    t = read_int(text, "--t") if re.fullmatch(INT, text) else 0
     if t < 1:
         raise argparse.ArgumentTypeError(f"needs an integer >= 1, got {text!r}")
     return t

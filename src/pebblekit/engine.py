@@ -204,17 +204,18 @@ class Budget:
 
     @classmethod
     def from_env(cls, nodes: str | None = None, seconds: str | None = None) -> "Budget":
-        """Each cap on its own: the text of its flag (``nodes`` of --budget-nodes,
-        ``seconds`` of --budget-seconds), else of its environment variable (an
-        empty one counts as unset), else its default: DEFAULT_NODE_BUDGET nodes
-        and no time cap. Bad text is an InvalidParameter naming its source."""
+        """Each cap from its flag's text (``nodes``, ``seconds``), else its environment
+        variable's (empty counts as unset), else its default (DEFAULT_NODE_BUDGET nodes,
+        no time cap). A bad or negative text is an InvalidParameter naming its source."""
         caps = []
         for text, flag, var, read, default in (
                 (nodes, "--budget-nodes", NODE_BUDGET_ENV, read_int, DEFAULT_NODE_BUDGET),
                 (seconds, "--budget-seconds", TIME_BUDGET_ENV, read_seconds, None)):
             if text is None:
                 text, flag = os.environ.get(var) or None, var
-            caps.append(default if text is None else read(text, flag))
+            caps.append(cap := default if text is None else read(text, flag))
+            if cap is not None and cap < 0:  # only an integer has a sign
+                raise InvalidParameter(f"{flag} must be >= 0, got {text!r}")
         return cls(*caps)
 
     def charge(self, n: int = 1) -> None:

@@ -53,24 +53,23 @@ class BudgetExceeded(PebbleError):
 MALFORMED_INPUT = (PebbleError, ArithmeticError, AttributeError, LookupError,
                    TypeError, ValueError, RecursionError)
 
-# An integer is an optional minus sign and ASCII digits, and seconds are ASCII
+# An integer is an optional minus sign and 1 to 640 ASCII digits (int() takes
+# that many under any sys.set_int_max_str_digits limit), and seconds are ASCII
 # digits with an optional fraction; int() and float() would also take "1_0",
 # " 3", "+3", other scripts' digits and "nan".
-INT = r"-?[0-9]+"
-_INT = re.compile(INT)
-_SECONDS = re.compile(r"[0-9]+(?:\.[0-9]+)?")
+INT = r"-?[0-9]{1,640}"
 
 
 def read_int(text: str, what: str) -> int:
     """The integer ``text`` spells, or an InvalidParameter naming ``what``."""
-    if not _INT.fullmatch(text):
+    if not re.fullmatch(INT, text):
         raise InvalidParameter(f"{what} needs an integer, got {text!r}")
     return int(text)
 
 
 def read_seconds(text: str, what: str) -> float:
     """The number of seconds ``text`` spells, like ``read_int``."""
-    if not _SECONDS.fullmatch(text):
+    if not re.fullmatch(r"[0-9]+(?:\.[0-9]+)?", text):
         raise InvalidParameter(f"{what} needs a number of seconds, got {text!r}")
     return float(text)
 

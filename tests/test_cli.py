@@ -175,13 +175,13 @@ def test_solve_reads_the_witness_file_of_pebbling_number(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags, env, named", [
-    (["--budget-nodes", "-5"], {}, None),
-    (["--budget-seconds", "-1"], {}, None),
-    (["--budget-seconds", "nan"], {}, None),
+    (["--budget-nodes", "-5"], {}, "--budget-nodes"),
+    (["--budget-seconds", "-1"], {}, "--budget-seconds"),
+    (["--budget-seconds", "nan"], {}, "--budget-seconds"),
     ([], {"PEBBLEKIT_NODE_BUDGET": "abc"}, "PEBBLEKIT_NODE_BUDGET"),
-    ([], {"PEBBLEKIT_NODE_BUDGET": "-1"}, None),
+    ([], {"PEBBLEKIT_NODE_BUDGET": "-1"}, "PEBBLEKIT_NODE_BUDGET"),
     ([], {"PEBBLEKIT_TIME_BUDGET": "soon"}, "PEBBLEKIT_TIME_BUDGET"),
-    ([], {"PEBBLEKIT_TIME_BUDGET": "-1"}, None),
+    ([], {"PEBBLEKIT_TIME_BUDGET": "-1"}, "PEBBLEKIT_TIME_BUDGET"),
 ], ids=["negative-nodes", "negative-seconds", "nan-seconds", "unparsable-node-env",
         "negative-node-env", "unparsable-time-env", "negative-time-env"])
 def test_a_bad_budget_is_a_usage_error(tmp_path, capsys, monkeypatch, flags, env, named):
@@ -197,8 +197,7 @@ def test_a_bad_budget_is_a_usage_error(tmp_path, capsys, monkeypatch, flags, env
     assert run(["pebbling-number", "--graph", str(g), *flags]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
-    if named is not None:
-        assert named in captured.err
+    assert named in captured.err
 
 
 @pytest.mark.parametrize("flags, env, node_cap, timed", [
@@ -233,25 +232,32 @@ def test_inconclusive_reports_the_nodes_and_seconds_spent(tmp_path, capsys):
     assert m and int(m[1]) > 3  # the DP charges a parent's candidates at once
 
 
+# every input read as an integer, then every one read as seconds
+INTEGER_INPUTS = [
+    pytest.param(["construct", "path", "--n", "{x}"], {}, "--n", id="construct-n"),
+    pytest.param(["construct", "product", "--left", "path:{x}", "--right", "path:2"], {},
+                 "path:{x}", id="family-spec"),
+    pytest.param(["verify", "cor24", "--n", "{x}"], {}, "--n", id="verify-value"),
+    pytest.param(["verify", "cor24", "--n", "3..{x}"], {}, "--n", id="verify-range-bound"),
+    pytest.param(["pebbling-number", "--graph", "{g}", "--t", "{x}"], {}, "--t", id="t"),
+    pytest.param(["verify", "cor27", "--n", "2", "--t", "{x}"], {}, "--t", id="verify-t"),
+    pytest.param(["pebbling-number", "--graph", "{g}", "--budget-nodes", "{x}"], {},
+                 "--budget-nodes", id="budget-nodes"),
+    pytest.param(["pebbling-number", "--graph", "{g}"], {"PEBBLEKIT_NODE_BUDGET": "{x}"},
+                 "PEBBLEKIT_NODE_BUDGET", id="node-env"),
+]
+SECONDS_INPUTS = [
+    pytest.param(["pebbling-number", "--graph", "{g}", "--budget-seconds", "{x}"], {},
+                 "--budget-seconds", id="budget-seconds"),
+    pytest.param(["pebbling-number", "--graph", "{g}"], {"PEBBLEKIT_TIME_BUDGET": "{x}"},
+                 "PEBBLEKIT_TIME_BUDGET", id="time-env"),
+]
+
+
 # int() and float() take each of these; every reader of a number rejects them
 @pytest.mark.parametrize("text", ["1_0", " 3", "+3", "\u0663"],
                          ids=["underscore", "space", "plus", "arabic-indic"])
-@pytest.mark.parametrize("argv, env, named", [
-    (["construct", "path", "--n", "{x}"], {}, "--n"),
-    (["construct", "product", "--left", "path:{x}", "--right", "path:2"], {}, "path:{x}"),
-    (["verify", "cor24", "--n", "{x}"], {}, "--n"),
-    (["verify", "cor24", "--n", "3..{x}"], {}, "--n"),
-    (["pebbling-number", "--graph", "{g}", "--t", "{x}"], {}, "--t"),
-    (["verify", "cor27", "--n", "2", "--t", "{x}"], {}, "--t"),
-    (["pebbling-number", "--graph", "{g}", "--budget-nodes", "{x}"], {}, "--budget-nodes"),
-    (["pebbling-number", "--graph", "{g}", "--budget-seconds", "{x}"], {},
-     "--budget-seconds"),
-    (["pebbling-number", "--graph", "{g}"], {"PEBBLEKIT_NODE_BUDGET": "{x}"},
-     "PEBBLEKIT_NODE_BUDGET"),
-    (["pebbling-number", "--graph", "{g}"], {"PEBBLEKIT_TIME_BUDGET": "{x}"},
-     "PEBBLEKIT_TIME_BUDGET"),
-], ids=["construct-n", "family-spec", "verify-value", "verify-range-bound", "t",
-        "verify-t", "budget-nodes", "budget-seconds", "node-env", "time-env"])
+@pytest.mark.parametrize("argv, env, named", INTEGER_INPUTS + SECONDS_INPUTS)
 def test_every_number_input_rejects_the_same_strings(tmp_path, capsys, monkeypatch,
                                                      argv, env, named, text):
     g = tmp_path / "p3.json"
@@ -264,6 +270,15 @@ def test_every_number_input_rejects_the_same_strings(tmp_path, capsys, monkeypat
         monkeypatch.setenv(var, value.format(x=text))
     assert run([arg.format(g=g, x=text) for arg in argv]) == EXIT_USAGE
     assert named.format(x=text) in capsys.readouterr().err
+
+
+# int() raises ValueError on more digits than sys.get_int_max_str_digits()
+# (4,300 by default): a usage error too, not a traceback
+@pytest.mark.parametrize("argv, env, named", INTEGER_INPUTS)
+def test_an_integer_too_long_for_int_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                                      argv, env, named):
+    test_every_number_input_rejects_the_same_strings(tmp_path, capsys, monkeypatch,
+                                                     argv, env, named, "1" * 5000)
 
 
 QUERY_P3 = ["--graph", "{g}", "--dist", "{d}", "--target", "v3"]

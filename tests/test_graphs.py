@@ -66,6 +66,13 @@ def test_parse_label_garbage():
             parse_label(bad)
 
 
+def test_an_index_too_long_for_int_is_garbage():
+    # int() raises ValueError past sys.get_int_max_str_digits() digits
+    for bad in ("v" + "1" * 5000, "u(1," + "2" * 5000 + ")"):
+        with pytest.raises(InvalidParameter):
+            parse_label(bad)
+
+
 # -- basic families ----------------------------------------------------------
 
 def test_path_structure():
