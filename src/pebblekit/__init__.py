@@ -7,10 +7,8 @@ checked against the exact solver.
 """
 
 from .engine import (Budget, Distribution, Move, MoveSequence, PebblingReport,
-                     SolveOutcome, SweepCheckpoint, SweepResult, apply_move,
-                     compute_pebbling, is_solvable, lower_bound,
-                     pebbling_number, pebbling_number_vertex, potential,
-                     replay, sweep_level, t_pebbling_number, weak_compositions)
+                     SolveOutcome, SweepCheckpoint, apply_move, compute_pebbling,
+                     is_solvable, lower_bound, potential, replay)
 from .errors import (BudgetExceeded, DisconnectedGraph, InsufficientPebbles,
                      InvalidParameter, NotAdjacent, PebbleError,
                      PreconditionNotMet, UnknownVertex)
@@ -27,10 +25,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Budget", "Distribution", "Move", "MoveSequence", "PebblingReport",
-    "SolveOutcome", "SweepCheckpoint", "SweepResult", "apply_move",
-    "compute_pebbling", "is_solvable", "lower_bound", "pebbling_number",
-    "pebbling_number_vertex", "potential", "replay", "sweep_level",
-    "t_pebbling_number", "weak_compositions",
+    "SolveOutcome", "SweepCheckpoint", "apply_move", "compute_pebbling",
+    "is_solvable", "lower_bound", "potential", "replay",
     "BudgetExceeded", "DisconnectedGraph", "InsufficientPebbles",
     "InvalidParameter", "NotAdjacent", "PebbleError", "PreconditionNotMet",
     "UnknownVertex",

@@ -195,12 +195,12 @@ def cmd_explain(args) -> int:
         rep = strategies.collect_on_path(ctx, t)
     elif name == "middle-path":
         n = (g.n + 3) // 2
-        if g != graphs.trimmed_middle_path(n):
+        if n < 3 or g != graphs.trimmed_middle_path(n):
             raise PebbleError("graph is not a trimmed middle path")
         rep = strategies.middle_path_strategy(n, d, target)
     elif name == "middle-cycle":
         n = g.n // 4
-        if g.n % 4 or g != graphs.middle_cycle(n):
+        if g.n % 4 or n < 2 or g != graphs.middle_cycle(n):
             raise PebbleError("graph is not the middle graph of an even cycle")
         rep = strategies.middle_cycle_t_strategy(n, d, target, t)
     elif name == "product":

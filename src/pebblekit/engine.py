@@ -9,9 +9,12 @@ are count vectors packed into ints, and every move carries precomputed
 changes to the packed key and to the potential, so a search node costs a
 few integer operations instead of rebuilding either from the vector.
 Beside the search runs a refutation, ``_closure``, that counts the states
-the search counts and so can end an unsolvable search early
-(``_solve_counts`` says when). Verdicts, witnesses, node counts and budget
-stops are the search's alone.
+the search counts and so can end an unsolvable search early. It is an
+iterator that paces itself: the search calls next() on it every
+``CLOSURE_EVERY`` nodes, and each call generates ``CLOSURE_RATIO`` times
+that many more closure nodes (``_solve_counts`` says what it does with
+the answer). Verdicts, witnesses, node counts and budget stops are the
+search's alone.
 
 Pebbling and t-pebbling numbers come from a dynamic program over the
 unsolvable distributions (``_downset_dp``), not from the solver, so the
@@ -31,7 +34,7 @@ import json
 import math
 import os
 import time
-from collections.abc import Generator, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import groupby
 
 from .errors import (BudgetExceeded, InsufficientPebbles, InvalidParameter,
@@ -250,26 +253,25 @@ def _next_hop(g: Graph, dist: Sequence[int], v: int) -> int:
 
 
 def _push_half(counts: list[int], a: int, b: int,
-               moves: list[tuple[int, int]]) -> int:
+               moves: list[tuple[int, int]]) -> None:
     """Move the floor-half of a's pile one step to b: floor(p/2) moves a -> b.
-    Mutates counts and moves; returns the number of pebbles that arrive."""
+    Mutates counts and moves."""
     k = counts[a] // 2
     if k:
         counts[a] -= 2 * k
         counts[b] += k
         moves.extend([(a, b)] * k)
-    return k
 
 
 def _drain_route(g: Graph, counts: list[int], dist: Sequence[int],
                  v: int, moves: list[tuple[int, int]]) -> None:
     """Push floor-halves of v's pile step by step toward the target,
-    absorbing whatever lies on the route. Mutates counts and moves."""
+    absorbing whatever lies on the route. Mutates counts and moves. Called
+    only when v alone can pay the toll, so every step moves a pebble."""
     cur = v
     while dist[cur] > 0:
         nxt = _next_hop(g, dist, cur)
-        if not _push_half(counts, cur, nxt, moves):
-            return
+        _push_half(counts, cur, nxt, moves)
         cur = nxt
 
 
@@ -295,14 +297,15 @@ def _greedy_counts(g: Graph, counts: list[int], target: int, t: int,
     return moves
 
 
-# The search resumes the closure every CLOSURE_EVERY of its nodes, and lets
-# it run until it has generated CLOSURE_RATIO times the search's nodes.
+# The search resumes the closure every CLOSURE_EVERY of its nodes, and the
+# p-th resume runs the closure to p * CLOSURE_RATIO * CLOSURE_EVERY nodes:
+# CLOSURE_RATIO times the search's.
 CLOSURE_EVERY = 256
 CLOSURE_RATIO = 8
 
 
 def _closure(g: Graph, counts: list[int], target: int, t: int, dist: Sequence[int],
-             weights: Sequence[int], goal: int) -> Generator[int | None, int, int | None]:
+             weights: Sequence[int], goal: int) -> Iterator[tuple[int | None, bool]]:
     """Refute t-solvability by growing the distributions reachable from
     counts one level at a time, level j being those j moves away.
 
@@ -315,12 +318,13 @@ def _closure(g: Graph, counts: list[int], target: int, t: int, dist: Sequence[in
     included, and only those at or above the goal are expanded: the set the
     search counts, so on an unsolvable root the two counts are equal.
 
-    Primed with next(), then resumed with send(limit): it runs until it has
-    generated at least limit nodes, and yields its node count. It returns
-    its node count when no level is left (unsolvable). It returns None when
-    a rich vertex can pay the whole toll alone, c >> dist[v] >= t - c_target,
-    which also covers every move that brings the target to t. It knows no
-    budget: the search that resumes it checks caps and deadlines.
+    It paces itself: the p-th next() runs until it has generated at least
+    p * CLOSURE_RATIO * CLOSURE_EVERY nodes and yields (nodes, False). Its
+    last yield is (nodes, True) when no level is left (unsolvable), or
+    (None, True) when a rich vertex can pay the whole toll alone,
+    c >> dist[v] >= t - c_target, which also covers every move that brings
+    the target to t; then it ends. It knows no budget: the search that
+    resumes it checks caps and deadlines.
     """
     n = len(counts)
     bits = sum(counts).bit_length()
@@ -338,10 +342,9 @@ def _closure(g: Graph, counts: list[int], target: int, t: int, dist: Sequence[in
     level = {sum(c << bits * v for v, c in enumerate(counts)):
              sum(c * w for c, w in zip(counts, weights))}
     nodes = 1  # the root
-    limit = yield
+    limit = step = CLOSURE_RATIO * CLOSURE_EVERY
     while level:
         nxt: dict[int, int] = {}
-        mark = limit - nodes
         for key, pot in level.items():
             if pot < goal:
                 continue
@@ -350,18 +353,19 @@ def _closure(g: Graph, counts: list[int], target: int, t: int, dist: Sequence[in
             while r:
                 field_v, shift, out, below = rich[r.bit_length()]
                 if key & field_v >= need << shift:
-                    return None
+                    yield None, True
+                    return
                 for dkey, dpot in out:
                     child = key - dkey
                     if child not in nxt:
                         nxt[child] = pot - dpot
                 r &= below
-            while len(nxt) >= mark:
-                limit = yield nodes + len(nxt)
-                mark = limit - nodes
+            while nodes + len(nxt) >= limit:
+                yield nodes + len(nxt), False
+                limit += step
         nodes += len(nxt)
         level = nxt
-    return nodes
+    yield nodes, True
 
 
 def _solve_counts(g: Graph, counts: list[int], target: int, t: int,
@@ -433,15 +437,16 @@ def _solve_counts(g: Graph, counts: list[int], target: int, t: int,
             cand += tied[0] if len(tied) == 1 else sorted([m for ms in tied for m in ms])
         return iter(cand)
 
-    # Beside the search runs the closure, resumed every CLOSURE_EVERY nodes,
-    # so between two of the search's budget charges it generates at most
-    # CLOSURE_RATIO * CLOSURE_EVERY nodes and the moves of one distribution.
-    # On an unsolvable root it reaches the search's final count N sooner,
-    # and the search returns (False, None, N) at once, charging the budget
-    # the N - nodes it has not charged yet. The closure is dropped when it
-    # finds the target reachable or its count passes room, the most nodes
-    # the search can reach within a node cap; the search, the only source
-    # of witnesses, then finishes alone.
+    # Beside the search runs the closure, resumed with one next() every
+    # CLOSURE_EVERY nodes, so between two of the search's budget charges it
+    # generates at most CLOSURE_RATIO * CLOSURE_EVERY nodes and the moves of
+    # one distribution. On an unsolvable root it reaches the search's final
+    # count N sooner, yields (N, True), and the search returns
+    # (False, None, N) at once, charging the budget the N - nodes it has
+    # not charged yet. The closure is dropped when it finds the target
+    # reachable or its count passes room, the most nodes the search can
+    # reach within a node cap; the search, the only source of witnesses,
+    # then finishes alone.
     key = sum(c << bits * v for v, c in enumerate(counts))  # the root: node 1
     failed: set[int] = set()
     nodes = 1
@@ -449,7 +454,7 @@ def _solve_counts(g: Graph, counts: list[int], target: int, t: int,
         budget.charge()
     room = (budget.node_cap - budget.nodes + nodes
             if budget is not None and budget.node_cap is not None else math.inf)
-    closure: Generator[int | None, int, int | None] | None = None
+    closure = _closure(g, counts, target, t, dist, weights, goal)  # runs at its first next()
     probe = CLOSURE_EVERY
     path: list[tuple[int, int]] = []
     stack = [(key, pot, children())]
@@ -467,19 +472,13 @@ def _solve_counts(g: Graph, counts: list[int], target: int, t: int,
                 budget.charge()
             if nodes == probe:
                 probe += CLOSURE_EVERY
-                try:
-                    if closure is None:
-                        closure = _closure(g, counts, target, t, dist, weights, goal)
-                        next(closure)
-                    reached = closure.send(CLOSURE_RATIO * nodes)
-                except StopIteration as stop:
-                    reached = stop.value
-                    if reached is not None and reached <= room:
-                        if budget is not None:
-                            budget.charge(reached - nodes)
-                        return False, None, reached
+                reached, done = next(closure)
                 if reached is None or reached > room:
                     probe, closure = 0, None  # never again
+                elif done:
+                    if budget is not None:
+                        budget.charge(reached - nodes)
+                    return False, None, reached
             if pot - dpot < goal:
                 failed.add(child)
                 continue
@@ -668,25 +667,6 @@ class PebblingReport(_Record):
         self.distributions_checked = distributions_checked
         self.dp_targets = [] if dp_targets is None else dp_targets
         self.max_level = max_level
-
-
-def pebbling_number_vertex(g: Graph, v: VertexLabel, t: int = 1,
-                           budget: Budget | None = None) -> int:
-    """f_t(g, v): least k such that every size-k distribution is t-solvable."""
-    return compute_pebbling(g, targets=[v], t=t, budget=budget).value
-
-
-def pebbling_number(g: Graph, targets: Sequence[VertexLabel] | None = None,
-                    budget: Budget | None = None) -> int:
-    """f(g), or the largest f(g, v) over the given targets."""
-    return compute_pebbling(g, targets=targets, t=1, budget=budget).value
-
-
-def t_pebbling_number(g: Graph, t: int,
-                      targets: Sequence[VertexLabel] | None = None,
-                      budget: Budget | None = None) -> int:
-    """f_t(g): least k making every size-k distribution t-solvable everywhere."""
-    return compute_pebbling(g, targets=targets, t=t, budget=budget).value
 
 
 def _field_bits(g: Graph, ti: int, t: int) -> int:

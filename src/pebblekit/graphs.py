@@ -58,9 +58,6 @@ class _Frozen(_Record):
     values, with object.__setattr__, which keeps them inline (``vars(self)``
     would slow every later attribute read); equality and hash are _key's."""
 
-    def _astuple(self) -> tuple:
-        return self._key
-
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self._key == other._key

@@ -362,7 +362,7 @@ SOURCE_RESULTS: dict[str, tuple[str, str]] = {
     "prop-2.2": ("strategy", "collect_on_path"),
     "cor-2.3": ("strategy", "collect_on_path"),
     "cor-2.4": ("claim", "cor24"),
-    "def-2.5": ("operation", "t_pebbling_number"),
+    "def-2.5": ("operation", "compute_pebbling"),
     "lemma-2.6": ("claim", "middle_even_cycle"),
     "cor-2.7": ("claim", "cor27_bound"),
     "eq-2.1": ("operation", "check_inequality_21"),

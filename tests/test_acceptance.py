@@ -15,8 +15,7 @@ import pytest
 
 from conftest import record_criterion
 from pebblekit.engine import (Distribution, compute_pebbling, is_solvable,
-                              pebbling_number, pebbling_number_vertex, replay,
-                              weak_compositions)
+                              replay, weak_compositions)
 from pebblekit.errors import PreconditionNotMet
 from pebblekit.graphs import (Original, complete, cycle, cycle_u,
                               middle_cycle, path, trimmed_middle_path)
@@ -55,8 +54,8 @@ def test_criterion_2_trimmed_middle_paths():
 
 
 def test_criterion_3_complete_and_path_families():
-    kn_ok = all(pebbling_number(complete(n)) == n for n in range(2, 6))
-    pn_ok = all(pebbling_number(path(n)) == 1 << (n - 1) for n in range(2, 7))
+    kn_ok = all(compute_pebbling(complete(n)).value == n for n in range(2, 6))
+    pn_ok = all(compute_pebbling(path(n)).value == 1 << (n - 1) for n in range(2, 7))
     note = CLAIMS["path_graph"].note
     note_ok = "2^n - 1" in note and "refuted" in note
     record_criterion(
@@ -247,7 +246,7 @@ def test_criterion_8_graham_desk_scale():
 
 def test_criterion_9_t2_edge_target_bound():
     g = middle_cycle(2)
-    value = pebbling_number_vertex(g, cycle_u(4, 0), t=2)
+    value = compute_pebbling(g, targets=[cycle_u(4, 0)], t=2).value
     # derived oracle value 13; the claimed bound is 10 + (2^2 + 2) = 16
     record_criterion(
         9, "f_2(M(C4), u0) = 13 <= 16 confirmed exhaustively",

@@ -416,6 +416,24 @@ def test_explain_structural_error(tmp_path, mc4):
                 "--dist", str(d), "--target", "v0"]) == 3
 
 
+@pytest.mark.parametrize("strategy, spec, target, t, message", [
+    ("middle-path", "m-path-trimmed:4", "u(2,3)", "2", "this strategy delivers a single pebble"),
+    ("collect", "path:4", "v9", "1", "no vertex labelled v9"),
+    ("middle-cycle", "cycle:8", "v1", "1", "graph is not the middle graph of an even cycle"),
+    ("middle-cycle", "path:4", "v1", "1", "graph is not the middle graph of an even cycle"),
+    ("middle-path", "path:1", "v1", "1", "graph is not a trimmed middle path"),
+], ids=["middle-path-t2", "collect-unknown-target", "middle-cycle-on-c8",
+        "middle-cycle-on-p4", "middle-path-on-p1"])
+def test_explain_rejects_what_its_strategy_does_not_take(tmp_path, capsys, strategy, spec,
+                                                          target, t, message):
+    g = tmp_path / "g.json"
+    g.write_text(graph_from_spec(spec).to_json())
+    d = dist_file(tmp_path, {"v1": 8})
+    assert run(["explain", "--strategy", strategy, "--graph", str(g), "--dist", str(d),
+                "--target", target, "--t", t]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_explain_hypothesis_not_met(mc4, tmp_path, capsys):
     d = dist_file(tmp_path, {"v2": 3})
     assert run(["explain", "--strategy", "middle-cycle", "--graph", str(mc4),
@@ -501,6 +519,24 @@ def test_verify_graham_with_a_trimmed_middle_path_factor(capsys):
     # f(TMP(4) x P2) = 10 <= 6 * 2
     assert run(["verify", "graham", "--left", "m-path-trimmed:4", "--right", "path:2"]) == 0
     assert "holds (f_left=6, f_right=2, f_product=10)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["lemma26", "--n", "2", "--budget-nodes", "10"],
+    ["graham", "--left", "path:3", "--right", "path:3", "--budget-nodes", "10"],
+], ids=["claim", "graham"])
+def test_verify_is_inconclusive_when_its_budget_runs_out(argv, capsys):
+    assert run(["verify", *argv]) == 2
+    assert "inconclusive" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("path", "family spec needs a parameter, e.g. path:4"),
+    ("moebius:3", "unknown family 'moebius'"),
+])
+def test_a_family_spec_names_what_is_wrong(spec, message, capsys):
+    assert run(["construct", "product", "--left", spec, "--right", "path:2"]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
 
 
 def test_verify_unknown_claim():

@@ -1,6 +1,5 @@
 import hashlib
 import json
-import math
 import os
 import re
 import subprocess
@@ -13,15 +12,13 @@ from typing import Optional
 import pytest
 
 import pebblekit
-from pebblekit.engine import (CLOSURE_EVERY, Budget, Distribution, Move,
+from pebblekit.engine import (CLOSURE_EVERY, CLOSURE_RATIO, Budget, Distribution, Move,
                               MoveSequence, SweepCheckpoint, _closure, _drain_route,
                               _greedy_counts, _solve_counts,
                               apply_move, compute_pebbling,
                               is_solvable,
-                              lower_bound, pebbling_number,
-                              pebbling_number_vertex, potential, replay,
-                              sweep_level, t_pebbling_number,
-                              weak_compositions)
+                              lower_bound, potential, replay,
+                              sweep_level, weak_compositions)
 from pebblekit.errors import (BudgetExceeded, InsufficientPebbles,
                               InvalidParameter, NotAdjacent, UnknownVertex)
 from pebblekit.graphs import (Original, Pair, cartesian_product, complete,
@@ -356,16 +353,34 @@ def test_search_matches_recursive_reference_past_the_closure_probe():
     assert sorted(n for n in nodes.values() if n >= CLOSURE_EVERY) == [257, 1256, 1552, 1686]
 
 
-def closure_to_the_end(g, vec, ti, t):
-    """Drive the closure alone with no limit: its node count, or None."""
+def closure_yields(g, vec, ti, t):
+    """Everything the closure yields when it is driven alone to its end."""
     dist = g.distances_from(ti)
     ecc = max(dist)
     weights = [1 << (ecc - d) for d in dist]
-    run = _closure(g, list(vec), ti, t, dist, weights, t << ecc)
-    next(run)
-    with pytest.raises(StopIteration) as stop:
-        run.send(math.inf)
-    return stop.value.value
+    return list(_closure(g, list(vec), ti, t, dist, weights, t << ecc))
+
+
+def closure_to_the_end(g, vec, ti, t):
+    """Drive the closure alone to its end: its node count, or None."""
+    reached, done = closure_yields(g, vec, ti, t)[-1]
+    assert done
+    return reached
+
+
+def test_the_closure_paces_itself_and_stops_at_its_verdict():
+    # the p-th yield but the last comes once the closure holds at least
+    # p * CLOSURE_RATIO * CLOSURE_EVERY nodes; the last carries the verdict,
+    # and nothing follows it
+    d, tgt = cor24_witness(7)
+    g = trimmed_middle_path(7)
+    yields = closure_yields(g, d.vector(g), g.index_of(tgt), 1)
+    step = CLOSURE_RATIO * CLOSURE_EVERY
+    assert len(yields) == 28 and yields[-1] == (56_113, True)
+    assert [reached for reached, _ in yields[:3]] == [2048, 4098, 6149]
+    for p, (reached, done) in enumerate(yields[:-1], 1):
+        assert reached >= step * p and not done, p
+    assert closure_yields(*mc4_t2_query(7)) == [(None, True)]
 
 
 def test_closure_counts_the_search_nodes_and_finds_solvable_roots():
@@ -548,17 +563,22 @@ def test_sweep_level_rejects_bad_parameters():
 def test_path_pebbling_numbers():
     # 2^(n-1), not the off-by-one 2^n - 1
     for n in range(2, 6):
-        assert pebbling_number(path(n)) == 1 << (n - 1)
+        assert compute_pebbling(path(n)).value == 1 << (n - 1)
 
 
 def test_complete_pebbling_numbers():
     for n in range(2, 6):
-        assert pebbling_number(complete(n)) == n
+        assert compute_pebbling(complete(n)).value == n
 
 
 def test_cycle_pebbling_number():
-    assert pebbling_number(cycle(5)) == 5
-    assert pebbling_number(cycle(6)) == 8
+    assert compute_pebbling(cycle(5)).value == 5
+    assert compute_pebbling(cycle(6)).value == 8
+
+
+def test_compute_pebbling_rejects_t_below_one():
+    with pytest.raises(InvalidParameter):
+        compute_pebbling(path(3), t=0)
 
 
 def test_per_target_report():
@@ -573,7 +593,7 @@ def test_per_target_report():
 
 def test_t_pebbling_monotone_in_t():
     g = cycle(4)
-    vals = [t_pebbling_number(g, t) for t in (1, 2, 3)]
+    vals = [compute_pebbling(g, t=t).value for t in (1, 2, 3)]
     assert vals[0] == 4
     assert vals == sorted(vals)
     assert all(b > a for a, b in zip(vals, vals[1:]))
@@ -581,14 +601,14 @@ def test_t_pebbling_monotone_in_t():
 
 def test_pebbling_number_vertex():
     g = path(4)
-    assert pebbling_number_vertex(g, Original(4)) == 8
+    assert compute_pebbling(g, targets=[Original(4)]).value == 8
     # {v1:1, v4:3} is stuck for v2, so 4 pebbles are not enough
-    assert pebbling_number_vertex(g, Original(2)) == 5
+    assert compute_pebbling(g, targets=[Original(2)]).value == 5
 
 
 def test_t_pebbling_counts_beyond_a_byte():
     # f_t(P2) = 2t; the DP's packed counts must not wrap above 255
-    assert t_pebbling_number(path(2), 130) == 260
+    assert compute_pebbling(path(2), t=130).value == 260
 
 
 # -- the down-set DP against the level sweep and the unpruned search ---------
@@ -751,7 +771,7 @@ def test_lemma_26_at_n3():
     assert rep.value == 20
     d, tgt = rep.witness
     assert d.total == 19 and not is_solvable(g, d, tgt).solvable
-    assert pebbling_number_vertex(g, cycle_u(6, 0)) == 16
+    assert compute_pebbling(g, targets=[cycle_u(6, 0)]).value == 16
 
 
 # -- one DP per target orbit --------------------------------------------------

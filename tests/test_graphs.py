@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from itertools import combinations, permutations
@@ -60,7 +61,7 @@ DEEP_LABEL = "(" * 2000 + "v1" + "|v1)" * 2000
 
 
 def test_parse_label_garbage():
-    for bad in ("w3", "u(1)", "v", "(a|b", "", "v1_0", "v+1", "v 1", "v\u0661",
+    for bad in ("w3", "u(1)", "v", "(a|b", "((v1|v2))", "", "v1_0", "v+1", "v 1", "v\u0661",
                 "u(1,+2)", "u(1,2,3)", DEEP_LABEL):
         with pytest.raises(InvalidParameter):
             parse_label(bad)
@@ -101,12 +102,16 @@ def test_complete_structure():
 
 
 def test_bad_params():
-    with pytest.raises(InvalidParameter):
-        path(0)
-    with pytest.raises(InvalidParameter):
-        cycle(2)
-    with pytest.raises(InvalidParameter):
-        middle_cycle(1)
+    for build in (lambda: path(0), lambda: cycle(2), lambda: middle_cycle(1),
+                  lambda: complete(0), lambda: trimmed_middle_path(2),
+                  # middle_graph on labels other than v_i
+                  lambda: middle_graph(Graph([EdgeVertex(0, 1), Original(2)], [(0, 1)])),
+                  # duplicate labels, a loop, an edge out of range
+                  lambda: Graph([Original(1), Original(1)], [(0, 1)]),
+                  lambda: Graph([Original(1), Original(2)], [(0, 1), (1, 1)]),
+                  lambda: Graph([Original(1), Original(2)], [(0, 2)])):
+        with pytest.raises(InvalidParameter):
+            build()
 
 
 def test_a_graph_without_vertices_is_rejected():
@@ -174,6 +179,8 @@ def test_delete_vertices_errors():
         delete_vertices(g, [Original(9)])
     with pytest.raises(DisconnectedGraph):
         delete_vertices(g, [Original(2)])
+    with pytest.raises(InvalidParameter):
+        delete_vertices(g, g.vertices)
 
 
 # -- products and fibers -----------------------------------------------------
@@ -286,6 +293,16 @@ def test_every_exported_name_resolves():
     # a stale entry makes `from pebblekit import *` raise
     missing = [name for name in pebblekit.__all__ if not hasattr(pebblekit, name)]
     assert missing == []
+
+
+def test_the_readme_library_example_runs():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        example = re.search(r"^## Library\n+```python\n(.*?)^```", fh.read(),
+                            re.M | re.S).group(1)
+    scope: dict = {}
+    exec(example, scope)
+    assert scope["report"].value == 10 and scope["rep"].succeeded
 
 
 def test_reimport_frees_the_old_graphs_module():

@@ -53,6 +53,14 @@ def test_inequality_22_values():
     assert check_inequality_22(4) == (False, -15)
 
 
+@pytest.mark.parametrize("check, args", [
+    (check_inequality_21, (0, 5)), (check_inequality_21, (5, 0)), (check_inequality_22, (0,)),
+], ids=["ineq21-m0", "ineq21-n0", "ineq22-m0"])
+def test_inequalities_reject_m_or_n_below_one(check, args):
+    with pytest.raises(InvalidParameter):
+        check(*args)
+
+
 def test_inequality_22_increasing():
     values = [check_inequality_22(m)[1] for m in range(5, 31)]
     assert all(b > a for a, b in zip(values, values[1:]))

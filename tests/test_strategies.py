@@ -426,6 +426,31 @@ def test_greedy_failure_is_inconclusive():
     assert len(rep.sequence) == 0
 
 
+P3 = [Original(1), Original(2), Original(3)]
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: PathContext(path(3), P3[:2] + P3[:1], Distribution(), 1),
+     InvalidParameter, "path repeats a vertex"),
+    (lambda: collect_on_path(PathContext(path(3), P3, Distribution({Original(1): 4}), 3), 0),
+     InvalidParameter, "t must be >= 1"),
+    (lambda: middle_path_strategy(2, Distribution(), path_u(1)), InvalidParameter, "n >= 3"),
+    (lambda: middle_path_strategy(4, Distribution({Original(2): 8}), Original(1)),
+     UnknownVertex, "no vertex labelled v1"),
+    (lambda: cor24_witness(2), InvalidParameter, "n >= 3"),
+    (lambda: middle_cycle_t_strategy(1, Distribution(), Original(0)), InvalidParameter, "n >= 2"),
+    (lambda: middle_cycle_t_strategy(2, Distribution({Original(2): 40}), Original(0), t=0),
+     InvalidParameter, "t must be >= 1"),
+    (lambda: product_collection_strategy(
+        Graph([Pair(Original(0), Original(0)), Original(1)], [(0, 1)]),
+        Distribution(), Pair(Original(0), Original(0))), InvalidParameter, "Pair-labelled"),
+], ids=["path-repeats-a-vertex", "collect-t0", "middle-path-n2", "middle-path-unknown-target",
+        "cor24-witness-n2", "middle-cycle-n1", "middle-cycle-t0", "product-without-pairs"])
+def test_strategies_reject_bad_parameters(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 @pytest.mark.parametrize("t", [0, -2])
 def test_greedy_rejects_t_below_one(t):
     # as every other strategy does; it once reported success at t = 0
