@@ -5,7 +5,9 @@ same named vertices the constructions use: ``Original(i)`` is an original
 vertex v_i, ``EdgeVertex(i, j)`` is the vertex inserted into the edge
 {v_i, v_j} of a middle graph, and ``Pair(a, b)`` is a Cartesian-product
 vertex. Graphs are immutable after construction and every constructor
-output is connected.
+output is connected. ``middle_cycle``, ``trimmed_middle_path`` and
+``cartesian_product`` return one shared graph per argument, so callers
+rely on that immutability: a graph must never be changed in place.
 
 Index conventions: cycles are 0-based (v_0 ... v_{n-1}), paths are 1-based
 (v_1 ... v_n).
@@ -17,7 +19,7 @@ import json
 import re
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 from itertools import combinations
 
 from .errors import INT, DisconnectedGraph, InvalidParameter, UnknownVertex
@@ -390,6 +392,7 @@ def delete_vertices(g: Graph, labels: Iterable[VertexLabel]) -> Graph:
             f"deleting {sorted(map(str, drop))} disconnects the graph") from None
 
 
+@lru_cache(maxsize=16)
 def cartesian_product(g: Graph, h: Graph) -> Graph:
     """Cartesian product: (a,b) ~ (c,d) iff a=c and b~d, or a~c and b=d."""
     verts = [Pair(ga, hb) for ga in g.vertices for hb in h.vertices]
@@ -408,6 +411,7 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
 # Named families from the strategy work
 
 
+@lru_cache(maxsize=16)
 def middle_cycle(n: int) -> Graph:
     """M(C_{2n}): originals v_0..v_{2n-1} plus u_i inserted into v_i v_{i+1}."""
     if n < 2:
@@ -415,6 +419,7 @@ def middle_cycle(n: int) -> Graph:
     return middle_graph(cycle(2 * n))
 
 
+@lru_cache(maxsize=32)
 def trimmed_middle_path(n: int) -> Graph:
     """M(P_n) - {v_1, v_n}: spine u_1..u_{n-1} plus originals v_2..v_{n-1}."""
     if n < 3:

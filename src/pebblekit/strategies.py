@@ -7,6 +7,8 @@ strategies are sound (a returned sequence always replays legally and
 delivers what it claims) but never claim unsolvability.
 
 Strategies compute on count vectors indexed like their graph's vertices.
+That graph is the one the ``graphs`` constructor shares per size, so a
+caller that built its graph there gets moves named with its own labels.
 A sub-argument (the mirrored trimmed path, a rotated or reflected half of
 M(C_2n), a product fiber) runs on its own count vector in its own frame,
 and its moves come back to the caller through one index map, frame index
@@ -183,14 +185,9 @@ def collect_on_path(ctx: PathContext, t: int) -> StrategyReport:
 
 
 @lru_cache(maxsize=32)
-def _tmp_graph(n: int) -> Graph:
-    return trimmed_middle_path(n)
-
-
-@lru_cache(maxsize=32)
 def _tmp_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(u_index, v_index) lookup tables; v table is 1-based with -1 gaps."""
-    g = _tmp_graph(n)
+    g = trimmed_middle_path(n)
     u = tuple(g.index_of(path_u(i)) for i in range(1, n))
     v = tuple(-1 if m in (0, 1, n) else g.index_of(Original(m)) for m in range(n + 1))
     return (-1,) + u, v  # 1-based u table
@@ -201,7 +198,7 @@ def _tmp_mirror(n: int) -> tuple[int, ...]:
     """Index map of the end-swapping symmetry: v_m <-> v_{n+1-m},
     u_i <-> u_{n-i}."""
     u, v = _tmp_tables(n)
-    frame = [0] * _tmp_graph(n).n
+    frame = [0] * trimmed_middle_path(n).n
     for i in range(1, n):
         frame[u[i]] = u[n - i]
     for m in range(2, n):
@@ -268,7 +265,7 @@ def middle_path_strategy(n: int, d: Distribution, target: VertexLabel) -> Strate
     distribution of at least 2^(n-2) + n - 2 pebbles."""
     if n < 3:
         raise InvalidParameter(f"need n >= 3, got {n}")
-    g = _tmp_graph(n)
+    g = trimmed_middle_path(n)
     if target not in g:
         raise UnknownVertex(f"no vertex labelled {target}")
     floor = tmp_pebbling_bound(n)
@@ -303,13 +300,8 @@ def tmp_pebbling_bound(n: int) -> int:
 
 
 @lru_cache(maxsize=16)
-def _mc_graph(n: int) -> Graph:
-    return middle_cycle(n)
-
-
-@lru_cache(maxsize=16)
 def _mc_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    g = _mc_graph(n)
+    g = middle_cycle(n)
     two_n = 2 * n
     u = tuple(g.index_of(cycle_u(two_n, i)) for i in range(two_n))
     v = tuple(g.index_of(Original(i)) for i in range(two_n))
@@ -338,7 +330,7 @@ def _mc_half_frame(n: int, use_b: bool) -> tuple[int, ...]:
     which fixes u_0 and u_n."""
     ut, vt = _tmp_tables(n + 2)
     u, v = _mc_tables(n)
-    frame = [0] * _tmp_graph(n + 2).n
+    frame = [0] * trimmed_middle_path(n + 2).n
     for j in range(1, n + 2):
         frame[ut[j]] = u[j - 1]
     for j in range(2, n + 2):
@@ -479,7 +471,7 @@ def middle_cycle_t_strategy(n: int, d: Distribution, target: VertexLabel,
         raise InvalidParameter(f"need n >= 2, got {n}")
     if t < 1:
         raise InvalidParameter(f"t must be >= 1, got {t}")
-    g = _mc_graph(n)
+    g = middle_cycle(n)
     ti = g.index_of(target)
     counts = d.vector(g)
     moves: list[tuple[int, int]] = []
@@ -501,11 +493,6 @@ def product_hypothesis(m: int, n: int) -> bool:
     return m >= 5 and n >= 5 and abs(n - m) >= 2
 
 
-@lru_cache(maxsize=16)
-def _mc_product(n: int, m: int) -> Graph:
-    return cartesian_product(_mc_graph(n), _mc_graph(m))
-
-
 def product_collection_strategy(gp: Graph, d: Distribution,
                                 target: VertexLabel) -> StrategyReport:
     """Collect one pebble onto a product vertex of M(C_{2n}) x M(C_{2m}):
@@ -520,9 +507,10 @@ def product_collection_strategy(gp: Graph, d: Distribution,
     m = len({lab.right for lab in gp.vertices}) // 4
     # gp must be the product as cartesian_product builds it, vertex order
     # included: vertex x * |V(M(C_2m))| + y is the pair (x, y) of the factors
-    if min(n, m) < 2 or gp.n != 16 * n * m or gp != _mc_product(n, m):
+    if (min(n, m) < 2 or gp.n != 16 * n * m
+            or gp != cartesian_product(middle_cycle(n), middle_cycle(m))):
         raise InvalidParameter("graph is not M(C_2n) x M(C_2m) in cartesian_product's order")
-    gl, nr = _mc_graph(n), 4 * m
+    gl, nr = middle_cycle(n), 4 * m
     fn, fm = mc_pebbling_bound(n), mc_pebbling_bound(m)
     if d.total < fn * fm:
         raise PreconditionNotMet(f"{d.total} pebbles, hypothesis needs {fn * fm}")

@@ -110,8 +110,17 @@ def test_bad_params():
                   lambda: Graph([Original(1), Original(1)], [(0, 1)]),
                   lambda: Graph([Original(1), Original(2)], [(0, 1), (1, 1)]),
                   lambda: Graph([Original(1), Original(2)], [(0, 2)])):
-        with pytest.raises(InvalidParameter):
-            build()
+        # twice: a cached constructor must raise on every call, not once
+        for _ in range(2):
+            with pytest.raises(InvalidParameter):
+                build()
+
+
+def test_family_constructors_share_one_graph_per_argument():
+    assert middle_cycle(3) is middle_cycle(3)
+    assert trimmed_middle_path(5) is trimmed_middle_path(5)
+    gl = middle_cycle(2)
+    assert cartesian_product(gl, gl) is cartesian_product(middle_cycle(2), gl)
 
 
 def test_a_graph_without_vertices_is_rejected():

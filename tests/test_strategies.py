@@ -363,6 +363,27 @@ def test_product_wrong_graph():
                 Pair(Original(0), Original(1)))
 
 
+def test_strategy_moves_name_the_callers_labels():
+    # a graph built with its constructor is the one the strategy runs on,
+    # so each move names the caller's label objects, not equal copies
+    mc = middle_cycle(3)
+    gp = cartesian_product(middle_cycle(2), middle_cycle(2))
+    cases = [(mc, lambda d, x: middle_cycle_t_strategy(3, d, x, t=2), 2 * 16 + 4),
+             (trimmed_middle_path(6), lambda d, x: middle_path_strategy(6, d, x), 20),
+             (gp, lambda d, x: product_collection_strategy(gp, d, x), 100)]
+    rng = random.Random(5)
+    for g, run, size in cases:
+        moved = 0
+        for i in range(20):
+            vec = _floor_vector(rng, g.n, size, i % 2 == 1)
+            rep = run(Distribution.from_vector(g, vec), g.vertices[rng.randrange(g.n)])
+            for m in rep.sequence:
+                assert m.src is g.vertices[g.index_of(m.src)]
+                assert m.dst is g.vertices[g.index_of(m.dst)]
+            moved += len(rep.sequence)
+        assert moved > 0
+
+
 # -- frozen reports ------------------------------------------------------------
 
 def _floor_vector(rng, n, size, piles):
