@@ -147,7 +147,7 @@ def cmd_solve(args) -> int:
 
 def cmd_pebbling_number(args) -> int:
     g = read_json(args.graph, Graph.from_json_dict, "input file")
-    targets = [parse_label(s) for s in args.targets.split(",")] if args.targets else None
+    targets = None if args.targets is None else [*map(parse_label, args.targets.split(","))]
     checkpoint = SweepCheckpoint(args.checkpoint) if args.checkpoint else None
     report = compute_pebbling(g, targets=targets, t=args.t,
                               budget=_budget(args), checkpoint=checkpoint)

@@ -79,10 +79,14 @@ class Distribution:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Distribution":
-        counts = data["counts"]
+        counts, spelled = data["counts"], {}
         if not all(type(c) is int for c in counts.values()):  # not 1.7, "2", true
             raise InvalidParameter(f"pebble counts must be integers: {json.dumps(counts)}")
-        return cls({parse_label(s): c for s, c in counts.items()})
+        for s in counts:
+            first = spelled.setdefault(parse_label(s), s)  # "v01" is v1, "u(2,1)" is u(1,2)
+            if first != s:
+                raise InvalidParameter(f"{first!r} and {s!r} name one vertex")
+        return cls({lab: counts[s] for lab, s in spelled.items()})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Distribution) and self.counts == other.counts
@@ -129,6 +133,8 @@ class MoveSequence:
 
     @classmethod
     def from_json_list(cls, data: list) -> "MoveSequence":
+        if type(data) is not list or any(type(m) is not list or len(m) != 2 for m in data):
+            raise InvalidParameter("moves must be a list of [source, target] label pairs")
         return cls([Move(parse_label(a), parse_label(b)) for a, b in data])
 
     def __repr__(self) -> str:
@@ -378,14 +384,15 @@ def _solve_counts(g: Graph, counts: list[int], target: int, t: int,
     goal = t << ecc
     weights = [1 << (ecc - d) for d in dist]
 
-    # single rich vertex
+    # single rich vertex: it sends just the pebbles that pay the toll
+    need = t - counts[target]
     for v, c in enumerate(counts):
-        if v != target and c >> dist[v] >= t - counts[target]:
+        if v != target and c >> dist[v] >= need:
             work = list(counts)
+            work[v] = need << dist[v]
             moves: list[tuple[int, int]] = []
             _drain_route(g, work, dist, v, moves)
-            if work[target] >= t:
-                return True, moves, 0
+            return True, moves, 0
 
     # greedy
     work = list(counts)

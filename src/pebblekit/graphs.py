@@ -4,10 +4,9 @@ Vertices carry structured labels so that strategy code can talk about the
 same named vertices the constructions use: ``Original(i)`` is an original
 vertex v_i, ``EdgeVertex(i, j)`` is the vertex inserted into the edge
 {v_i, v_j} of a middle graph, and ``Pair(a, b)`` is a Cartesian-product
-vertex. Graphs are immutable after construction and every constructor
-output is connected. ``middle_cycle``, ``trimmed_middle_path`` and
-``cartesian_product`` return one shared graph per argument, so callers
-rely on that immutability: a graph must never be changed in place.
+vertex. Every constructor output is connected, and graphs are immutable:
+``middle_cycle``, ``trimmed_middle_path`` and ``cartesian_product`` return
+one graph per argument, shared by every caller that builds it.
 
 Index conventions: cycles are 0-based (v_0 ... v_{n-1}), paths are 1-based
 (v_1 ... v_n).
@@ -295,6 +294,8 @@ class Graph:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Graph":
+        if type(data["vertices"]) is not list:
+            raise InvalidParameter("graph vertices must be a list of labels")
         labels = [parse_label(s) for s in data["vertices"]]
         return cls(labels, [tuple(e) for e in data["edges"]])
 

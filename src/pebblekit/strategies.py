@@ -30,7 +30,7 @@ from functools import lru_cache
 
 from .engine import (Distribution, MoveSequence, _greedy_counts,
                      _moves_to_sequence, _push_half)
-from .errors import InvalidParameter, PreconditionNotMet, UnknownVertex
+from .errors import InvalidParameter, PreconditionNotMet
 from .graphs import (Graph, Original, Pair, VertexLabel, _Record,
                      cartesian_product, cycle_u, middle_cycle, path_u,
                      trimmed_middle_path)
@@ -266,14 +266,12 @@ def middle_path_strategy(n: int, d: Distribution, target: VertexLabel) -> Strate
     if n < 3:
         raise InvalidParameter(f"need n >= 3, got {n}")
     g = trimmed_middle_path(n)
-    if target not in g:
-        raise UnknownVertex(f"no vertex labelled {target}")
+    ti = g.index_of(target)
     floor = tmp_pebbling_bound(n)
     if d.total < floor:
         raise PreconditionNotMet(
             f"{d.total} pebbles, hypothesis needs {floor}")
     counts = d.vector(g)
-    ti = g.index_of(target)
     moves: list[tuple[int, int]] = []
     tag = _tmp_solve(n, counts, ti, moves)
     return StrategyReport(counts[ti] >= 1, counts[ti], _moves_to_sequence(g, moves), tag)

@@ -96,6 +96,16 @@ def test_solve_cor24_witness_unsolvable(tmp_path):
                 "--target", "u(1,2)"]) == 1
 
 
+def test_solve_a_huge_pile_sends_only_the_toll(tmp_path, capsys):
+    # the rich-vertex shortcut pushed halves of all 10^30 pebbles, which
+    # raised OverflowError: a traceback and exit 1
+    g = tmp_path / "p3.json"
+    g.write_text(path(3).to_json())
+    d = dist_file(tmp_path, {"v1": 10 ** 30})
+    assert run(["solve", "--graph", str(g), "--dist", str(d), "--target", "v3"]) == 0
+    assert capsys.readouterr().out.startswith("solvable: 3 moves")
+
+
 def test_solve_empty_distribution(mc4, tmp_path):
     d = dist_file(tmp_path, {})
     assert run(["solve", "--graph", str(mc4), "--dist", str(d),
@@ -597,11 +607,22 @@ DEEP_LABEL = "(" * 2000 + "v1" + "|v1)" * 2000
     ({"g": GOOD_GRAPH, "d": GOOD_DIST}, None, SOLVE[:-1] + [DEEP_LABEL]),
     ({}, None, ["verify", "cor24", "--n", "abc"]),
     ({}, None, ["verify", "graham", "--left", "path:x", "--right", "path:2"]),
+    ({"g": GOOD_GRAPH, "d": '{"counts": {"v1": 3, "v01": 5}}'}, "d", SOLVE),
+    ({"g": GOOD_GRAPH, "d": '{"counts": {"u(1,2)": 1, "u(2,1)": 1}}'}, "d", SOLVE),
+    ({"g": '{"vertices": {"v1": 0, "v2": 0}, "edges": [[0, 1]]}', "d": GOOD_DIST},
+     "g", SOLVE),
+    ({"g": GOOD_GRAPH, "d": GOOD_DIST, "w": '[{"v1": 0, "v2": 0}]'}, "w",
+     SOLVE + ["--replay", "{w}"]),
+    ({"g": GOOD_GRAPH, "d": GOOD_DIST, "w": "{}"}, "w", SOLVE + ["--replay", "{w}"]),
+    ({"g": GOOD_GRAPH, "d": GOOD_DIST, "w": "[[1, 2]]"}, "w", SOLVE + ["--replay", "{w}"]),
+    ({"g": GOOD_GRAPH}, None, ["pebbling-number", "--graph", "{g}", "--targets", ""]),
 ], ids=["graph-without-edges", "one-element-edge", "dist-without-counts",
         "non-integer-count", "fractional-count", "boolean-count", "not-json",
         "one-element-move", "empty-graph", "too-deep-graph", "too-deep-label",
         "boolean-endpoints", "too-deep-target", "non-integer-range",
-        "non-integer-family-parameter"])
+        "non-integer-family-parameter", "one-vertex-spelled-twice",
+        "one-edge-vertex-spelled-twice", "vertices-as-a-dict", "move-as-a-dict",
+        "moves-as-a-dict", "non-string-move-labels", "empty-targets"])
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, files, bad, argv):
     paths = {}
     for key, text in files.items():

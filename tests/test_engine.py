@@ -66,14 +66,15 @@ def recursive_solve_counts(g, counts, target, t, budget=None):
     goal = t << ecc
     weights = [1 << (ecc - d) for d in dist]
 
-    # single rich vertex
+    # single rich vertex: it sends just the pebbles that pay the toll
+    need = t - counts[target]
     for v, c in enumerate(counts):
-        if v != target and c >> dist[v] >= t - counts[target]:
+        if v != target and c >> dist[v] >= need:
             work = list(counts)
+            work[v] = need << dist[v]
             moves: list[tuple[int, int]] = []
             _drain_route(g, work, dist, v, moves)
-            if work[target] >= t:
-                return True, moves, 0
+            return True, moves, 0
 
     # greedy
     work = list(counts)
@@ -155,6 +156,13 @@ def test_distribution_json_roundtrip():
     assert Distribution.from_json_dict(d.to_json_dict()) == d
 
 
+@pytest.mark.parametrize("first, second", [("u(1,2)", "u(2,1)"), ("v1", "v01")])
+def test_distribution_json_rejects_two_spellings_of_one_vertex(first, second):
+    # read as one key, the second count replaced the first
+    with pytest.raises(InvalidParameter, match=re.escape(f"{first!r} and {second!r}")):
+        Distribution.from_json_dict({"counts": {first: 3, second: 5}})
+
+
 def test_apply_move_accounting():
     g = path(3)
     d = Distribution({Original(1): 3})
@@ -183,6 +191,14 @@ def test_replay_sequence():
 def test_move_sequence_json_roundtrip():
     seq = MoveSequence([Move(Original(1), Original(2))])
     assert MoveSequence.from_json_list(seq.to_json_list()) == seq
+
+
+@pytest.mark.parametrize("data", [[{"v1": 0, "v2": 0}], [["v1", "v2", "v3"]], [["v1"]],
+                                  {}, {"v1": "v2"}])
+def test_move_sequence_json_is_a_list_of_pairs(data):
+    # a dict of two labels was read as the move between them, and {} as no move
+    with pytest.raises(InvalidParameter):
+        MoveSequence.from_json_list(data)
 
 
 # -- potential ---------------------------------------------------------------
@@ -221,6 +237,17 @@ def test_witness_replays_when_solvable():
     out = is_solvable(g, d, tgt)
     assert out.solvable
     assert replay(g, d, out.witness).get(tgt) >= 1
+
+
+def test_rich_vertex_sends_only_the_toll():
+    # the shortcut once drained the whole pile: a 750,000-move witness for
+    # 10^6 pebbles, and an OverflowError for 10^30
+    g = path(3)
+    for pile in (10 ** 6, 10 ** 30):
+        d = Distribution({Original(1): pile})
+        out = is_solvable(g, d, Original(3))
+        assert out.solvable and out.nodes_explored == 0 and len(out.witness) == 3
+        assert replay(g, d, out.witness).get(Original(3)) == 1
 
 
 def test_solvable_unknown_vertex():
@@ -484,7 +511,7 @@ def test_solver_triples_are_frozen():
         for cap in (300, 1500):
             digest.update(repr(budget_outcome(_solve_counts, query, cap)).encode())
     assert digest.hexdigest() == (
-        "9f905fb53bcb3dee37b39e4f2e2dc1d7863bfc53b962d4d902785d53de5ca167")
+        "66e06b6ffd4e155db43460adcb1cfffe671caa686ea132367ba47a4fb2d85994")
 
 
 # -- enumeration -------------------------------------------------------------

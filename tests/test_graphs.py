@@ -274,6 +274,12 @@ def test_json_roundtrip():
     assert again == g and hash(again) == hash(g)
 
 
+def test_graph_json_vertices_are_a_list():
+    # the keys of a dict were taken as the labels
+    with pytest.raises(InvalidParameter):
+        Graph.from_json('{"vertices": {"v1": 0, "v2": 0}, "edges": [[0, 1]]}')
+
+
 def test_json_shape():
     data = json.loads(path(2).to_json())
     assert data == {"vertices": ["v1", "v2"], "edges": [[0, 1]]}
