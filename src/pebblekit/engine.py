@@ -8,13 +8,16 @@ explicit stack, so no input can exhaust Python's recursion limit. States
 are count vectors packed into ints, and every move carries precomputed
 changes to the packed key and to the potential, so a search node costs a
 few integer operations instead of rebuilding either from the vector.
-Beside the search runs a refutation, ``_closure``, that counts the states
-the search counts and so can end an unsolvable search early. It is an
-iterator that paces itself: the search calls next() on it every
-``CLOSURE_EVERY`` nodes, and each call generates ``CLOSURE_RATIO`` times
-that many more closure nodes (``_solve_counts`` says what it does with
-the answer). Verdicts, witnesses, node counts and budget stops are the
-search's alone.
+Beside the search runs a refutation, ``_closure``, that grows the states
+reachable from the root level by level, skipping a state dominated by one
+it has already expanded, and so can end an unsolvable search early. It is
+an iterator that paces itself: the search calls next() on it first at its
+``CLOSURE_FIRST``-th node and then every ``CLOSURE_EVERY`` nodes, and each
+call generates ``CLOSURE_RATIO`` times ``CLOSURE_EVERY`` more closure nodes
+(``_solve_counts`` says what it does with the answer). Verdicts, witnesses
+and budget stops are the search's alone; an unsolvable verdict the closure
+settles counts the larger of the search's nodes so far and the closure's,
+which is at most the search's own count.
 
 Pebbling and t-pebbling numbers come from a dynamic program over the
 unsolvable distributions (``_downset_dp``), not from the solver, so the
@@ -303,9 +306,10 @@ def _greedy_counts(g: Graph, counts: list[int], target: int, t: int,
     return moves
 
 
-# The search resumes the closure every CLOSURE_EVERY of its nodes, and the
-# p-th resume runs the closure to p * CLOSURE_RATIO * CLOSURE_EVERY nodes:
-# CLOSURE_RATIO times the search's.
+# The search resumes the closure first at its CLOSURE_FIRST-th node and then
+# every CLOSURE_EVERY nodes, and the p-th resume runs the closure to
+# p * CLOSURE_RATIO * CLOSURE_EVERY nodes.
+CLOSURE_FIRST = 32
 CLOSURE_EVERY = 256
 CLOSURE_RATIO = 8
 
@@ -316,13 +320,28 @@ def _closure(g: Graph, counts: list[int], target: int, t: int, dist: Sequence[in
     counts one level at a time, level j being those j moves away.
 
     Every move removes exactly one pebble, so each distribution sits in one
-    level and only two levels are held. Keys are packed as the search packs
-    them, and the rich vertices of a distribution are walked with a
-    ``high`` mask, as in ``_downset_dp``, the target's field left out
-    because the target is never a source. Every distinct child of an
-    expanded distribution is a node, children below the potential goal
-    included, and only those at or above the goal are expanded: the set the
-    search counts, so on an unsolvable root the two counts are equal.
+    level. Keys are packed as the search packs them, and the rich vertices
+    of a distribution are walked with a ``high`` mask, as in
+    ``_downset_dp``, the target's field left out because the target is
+    never a source. Every distinct child of an expanded distribution is a
+    node, children below the potential goal included, and only those at or
+    above the goal are expanded.
+
+    A child is pruned when a distribution of the level before, ``before``,
+    dominates it. Solvability is monotone: a distribution at least as large
+    at every vertex can make every move sequence the smaller one can, so it
+    is solvable whenever the smaller one is. The move a -> b takes key to
+    c = key - 2e_a + e_b, and key - e_a + 2e_b, the distribution whose move
+    b -> a gives key, is c + e_a + e_b. If it is in ``before`` it has been
+    expanded already, so c is skipped; if it lay below the potential goal,
+    so does c. Along a solving sequence every distribution is then
+    dominated by an expanded one, so the closure still meets a rich vertex
+    on every solvable root, and a verdict is exact. It costs one
+    subtraction and one lookup per new child, with u_a - 2u_b stored per
+    move beside its changes to the key and to the potential. Three levels
+    are held: ``before``, the level being expanded, and the next. The
+    count, the root and every child kept, is at most the search's on an
+    unsolvable root, where the unpruned closure's count equals it.
 
     It paces itself: the p-th next() runs until it has generated at least
     p * CLOSURE_RATIO * CLOSURE_EVERY nodes and yields (nodes, False). Its
@@ -339,12 +358,15 @@ def _closure(g: Graph, counts: list[int], target: int, t: int, dist: Sequence[in
     high = sum(f - e for v, (f, e) in enumerate(zip(fields, units)) if v != target)
     # per bit length of key & high: the field of the vertex holding that bit,
     # where its pile starts paying the toll alone, its moves as changes to
-    # the key and to the potential, and the mask of the fields below it
+    # the key, to the potential and to the key of the dominating
+    # distribution, and the mask of the fields below it
     rich: list = [None]
     for v in range(n):
-        out = [(2 * units[v] - units[b], 2 * weights[v] - weights[b]) for b in g.neighbors[v]]
+        out = [(2 * units[v] - units[b], 2 * weights[v] - weights[b], units[v] - 2 * units[b])
+               for b in g.neighbors[v]]
         rich += [(fields[v], bits * v + dist[v], out, units[v] - 1)] * bits
     tfield, tshift = fields[target], bits * target
+    before: dict[int, int] = {}
     level = {sum(c << bits * v for v, c in enumerate(counts)):
              sum(c * w for c, w in zip(counts, weights))}
     nodes = 1  # the root
@@ -361,16 +383,16 @@ def _closure(g: Graph, counts: list[int], target: int, t: int, dist: Sequence[in
                 if key & field_v >= need << shift:
                     yield None, True
                     return
-                for dkey, dpot in out:
+                for dkey, dpot, dup in out:
                     child = key - dkey
-                    if child not in nxt:
+                    if child not in nxt and key - dup not in before:
                         nxt[child] = pot - dpot
                 r &= below
             while nodes + len(nxt) >= limit:
                 yield nodes + len(nxt), False
                 limit += step
         nodes += len(nxt)
-        level = nxt
+        before, level = level, nxt
     yield nodes, True
 
 
@@ -444,16 +466,18 @@ def _solve_counts(g: Graph, counts: list[int], target: int, t: int,
             cand += tied[0] if len(tied) == 1 else sorted([m for ms in tied for m in ms])
         return iter(cand)
 
-    # Beside the search runs the closure, resumed with one next() every
-    # CLOSURE_EVERY nodes, so between two of the search's budget charges it
-    # generates at most CLOSURE_RATIO * CLOSURE_EVERY nodes and the moves of
-    # one distribution. On an unsolvable root it reaches the search's final
-    # count N sooner, yields (N, True), and the search returns
-    # (False, None, N) at once, charging the budget the N - nodes it has
-    # not charged yet. The closure is dropped when it finds the target
-    # reachable or its count passes room, the most nodes the search can
-    # reach within a node cap; the search, the only source of witnesses,
-    # then finishes alone.
+    # Beside the search runs the closure, resumed with one next() at the
+    # search's CLOSURE_FIRST-th node and then every CLOSURE_EVERY nodes, so
+    # between two of the search's budget charges it generates at most
+    # CLOSURE_RATIO * CLOSURE_EVERY nodes and the moves of one distribution.
+    # On an unsolvable root it may end first with (N, True); the search then
+    # returns (False, None, max(N, nodes)) at once and charges the budget
+    # the difference. Neither count is more than the search's own final
+    # count: the search has not finished, and the closure counts a subset
+    # of its states. The closure is dropped when it finds the target reachable or
+    # its count passes room, the most nodes the search can reach within a
+    # node cap; the search, the only source of witnesses, then finishes
+    # alone.
     key = sum(c << bits * v for v, c in enumerate(counts))  # the root: node 1
     failed: set[int] = set()
     nodes = 1
@@ -462,7 +486,7 @@ def _solve_counts(g: Graph, counts: list[int], target: int, t: int,
     room = (budget.node_cap - budget.nodes + nodes
             if budget is not None and budget.node_cap is not None else math.inf)
     closure = _closure(g, counts, target, t, dist, weights, goal)  # runs at its first next()
-    probe = CLOSURE_EVERY
+    probe = CLOSURE_FIRST
     path: list[tuple[int, int]] = []
     stack = [(key, pot, children())]
     while stack:
@@ -483,6 +507,7 @@ def _solve_counts(g: Graph, counts: list[int], target: int, t: int,
                 if reached is None or reached > room:
                     probe, closure = 0, None  # never again
                 elif done:
+                    reached = max(reached, nodes)
                     if budget is not None:
                         budget.charge(reached - nodes)
                     return False, None, reached

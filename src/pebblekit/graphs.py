@@ -316,8 +316,8 @@ class Graph:
         return f"Graph(|V|={self.n}, |E|={self.m})"
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Graph) and self.vertices == other.vertices
-                and self._edge_set == other._edge_set)
+        return other is self or (isinstance(other, Graph) and self.vertices == other.vertices
+                                 and self._edge_set == other._edge_set)
 
     def __hash__(self) -> int:
         return hash((self.vertices, self._edge_set))

@@ -293,7 +293,8 @@ def _check_point(claim: FormulaClaim, params: dict,
         report = compute_pebbling(g, targets=targets, t=t, budget=budget)
     except BudgetExceeded as exc:
         return CheckRecord(claim.name, params, "inconclusive",
-                           f"oracle budget exhausted ({exc})", {}, hyp)
+                           f"oracle budget exhausted ({exc}; {exc.nodes_explored} nodes "
+                           f"explored, {exc.elapsed:.2f} s)", {}, hyp)
     oracle = report.value
     evidence = {"oracle": oracle, "expected": expected, "t": t,
                 "targets": None if targets is None else [str(x) for x in targets],

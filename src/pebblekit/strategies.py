@@ -31,7 +31,7 @@ from functools import lru_cache
 from .engine import (Distribution, MoveSequence, _greedy_counts,
                      _moves_to_sequence, _push_half)
 from .errors import InvalidParameter, PreconditionNotMet
-from .graphs import (Graph, Original, Pair, VertexLabel, _Record,
+from .graphs import (EdgeVertex, Graph, Original, Pair, VertexLabel, _Record,
                      cartesian_product, cycle_u, middle_cycle, path_u,
                      trimmed_middle_path)
 
@@ -282,9 +282,14 @@ def cor24_witness(n: int) -> tuple[Distribution, VertexLabel]:
     on each inner original, 2^(n-2) - 1 on the far spine end, target u_1."""
     if n < 3:
         raise InvalidParameter(f"need n >= 3, got {n}")
-    counts: dict[VertexLabel, int] = {Original(m): 1 for m in range(2, n)}
-    counts[path_u(n - 1)] = tmp_pebbling_bound(n) - 1 - len(counts)
-    return Distribution(counts), path_u(1)
+    g = trimmed_middle_path(n)
+
+    def own(lab: VertexLabel) -> VertexLabel:  # the graph's own label object
+        return g.vertices[g.index_of(lab)]
+
+    counts: dict[VertexLabel, int] = {own(Original(m)): 1 for m in range(2, n)}
+    counts[own(path_u(n - 1))] = tmp_pebbling_bound(n) - 1 - len(counts)
+    return Distribution(counts), own(path_u(1))
 
 
 def tmp_pebbling_bound(n: int) -> int:
@@ -499,10 +504,13 @@ def product_collection_strategy(gp: Graph, d: Distribution,
     inside the column."""
     if not isinstance(target, Pair):
         raise InvalidParameter("target must be a Pair vertex")
-    if not all(isinstance(lab, Pair) for lab in gp.vertices):
+    last = gp.vertices[-1]
+    if not isinstance(last, Pair):
         raise InvalidParameter("product strategy expects Pair-labelled vertices")
-    n = len({lab.left for lab in gp.vertices}) // 4
-    m = len({lab.right for lab in gp.vertices}) // 4
+    # the last vertex of M(C_2k) is u(2k-2,2k-1), so a product's last vertex
+    # names n and m; a wrong guess fails the checks below
+    n, m = ((p.j + 1) // 2 if isinstance(p, EdgeVertex) else 0
+            for p in (last.left, last.right))
     # gp must be the product as cartesian_product builds it, vertex order
     # included: vertex x * |V(M(C_2m))| + y is the pair (x, y) of the factors
     if (min(n, m) < 2 or gp.n != 16 * n * m

@@ -111,6 +111,14 @@ def test_check_claim_budget_inconclusive():
     assert records[0].status == "inconclusive"
 
 
+def test_inconclusive_record_says_how_far_the_oracle_got():
+    (rec,) = check_claim("middle_even_cycle", [{"n": 3}], budget=Budget(node_cap=100))
+    found = re.fullmatch(r"oracle budget exhausted \(node budget of 100 exhausted; "
+                         r"(\d+) nodes explored, \d+\.\d\d s\)", rec.detail)
+    assert rec.status == "inconclusive" and found, rec.detail
+    assert int(found[1]) > 100
+
+
 def test_check_claim_out_of_domain_unchecked(tmp_path):
     # a point outside the domain raises before any point is checked
     ledger = ClaimLedger(str(tmp_path / "ledger.jsonl"))

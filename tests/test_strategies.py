@@ -158,6 +158,15 @@ def test_cor24_witness_unsolvable():
         assert not is_solvable(g, d, tgt).solvable
 
 
+def test_cor24_witness_names_the_graphs_labels():
+    # its labels were equal copies, so every lookup of them paid __eq__
+    for n in range(3, 8):
+        d, tgt = cor24_witness(n)
+        g = trimmed_middle_path(n)
+        for lab in [*d.counts, tgt]:
+            assert lab is g.vertices[g.index_of(lab)], (n, lab)
+
+
 # -- middle cycle ------------------------------------------------------------
 
 def test_middle_cycle_exhaustive_n2():
@@ -361,6 +370,20 @@ def test_product_wrong_graph():
             product_collection_strategy(
                 gp, Distribution({Pair(Original(0), Original(3)): 100}),
                 Pair(Original(0), Original(1)))
+
+
+def test_product_reads_its_factors_from_the_last_vertex():
+    # unequal factors, in both orders; a last vertex that names factors the
+    # graph is not built from is rejected
+    for n, m in ((2, 3), (3, 2)):
+        gp = cartesian_product(middle_cycle(n), middle_cycle(m))
+        d = Distribution({gp.vertices[-1]: mc_pebbling_bound(n) * mc_pebbling_bound(m)})
+        tgt = gp.vertices[0]
+        rep = product_collection_strategy(gp, d, tgt)
+        assert rep.succeeded and replay(gp, d, rep.sequence).get(tgt) >= 1
+    lone = Graph([Pair(EdgeVertex(2, 3), EdgeVertex(2, 3))], [])
+    with pytest.raises(InvalidParameter, match="cartesian_product's order"):
+        product_collection_strategy(lone, Distribution(), lone.vertices[0])
 
 
 def test_strategy_moves_name_the_callers_labels():
