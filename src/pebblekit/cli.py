@@ -275,7 +275,8 @@ def cmd_graham(args) -> int:
     rep = registry.check_graham(graph_from_spec(args.left),
                                 graph_from_spec(args.right), _budget(args))
     print(f"graham: {rep.verdict} "
-          f"(f_left={rep.f_left}, f_right={rep.f_right}, f_product={rep.f_product})")
+          f"(f_left={rep.f_left}, f_right={rep.f_right}, f_product={rep.f_product})"
+          + (f": {rep.detail}" if rep.detail else ""))
     return {"holds": EXIT_OK, "violated": EXIT_NEGATIVE}.get(
         rep.verdict, EXIT_INCONCLUSIVE)
 

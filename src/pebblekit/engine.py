@@ -10,14 +10,15 @@ changes to the packed key and to the potential, so a search node costs a
 few integer operations instead of rebuilding either from the vector.
 Beside the search runs a refutation, ``_closure``, that grows the states
 reachable from the root level by level, skipping a state dominated by one
-it has already expanded, and so can end an unsolvable search early. It is
-an iterator that paces itself: the search calls next() on it first at its
-``CLOSURE_FIRST``-th node and then every ``CLOSURE_EVERY`` nodes, and each
-call generates ``CLOSURE_RATIO`` times ``CLOSURE_EVERY`` more closure nodes
-(``_solve_counts`` says what it does with the answer). Verdicts, witnesses
-and budget stops are the search's alone; an unsolvable verdict the closure
-settles counts the larger of the search's nodes so far and the closure's,
-which is at most the search's own count.
+of the level before or of the level being expanded, and so can end an
+unsolvable search early. It is an iterator that paces itself: the search
+calls next() on it first at its ``CLOSURE_FIRST``-th node and then every
+``CLOSURE_EVERY`` nodes, and each call generates ``CLOSURE_RATIO`` times
+``CLOSURE_EVERY`` more closure nodes (``_solve_counts`` says what it does
+with the answer). Verdicts, witnesses and budget stops are the search's
+alone; an unsolvable verdict the closure settles counts the larger of the
+search's nodes so far and the closure's, which is at most the search's own
+count.
 
 Pebbling and t-pebbling numbers come from a dynamic program over the
 unsolvable distributions (``_downset_dp``), not from the solver, so the
@@ -327,21 +328,30 @@ def _closure(g: Graph, counts: list[int], target: int, t: int, dist: Sequence[in
     node, children below the potential goal included, and only those at or
     above the goal are expanded.
 
-    A child is pruned when a distribution of the level before, ``before``,
-    dominates it. Solvability is monotone: a distribution at least as large
-    at every vertex can make every move sequence the smaller one can, so it
-    is solvable whenever the smaller one is. The move a -> b takes key to
-    c = key - 2e_a + e_b, and key - e_a + 2e_b, the distribution whose move
-    b -> a gives key, is c + e_a + e_b. If it is in ``before`` it has been
-    expanded already, so c is skipped; if it lay below the potential goal,
-    so does c. Along a solving sequence every distribution is then
-    dominated by an expanded one, so the closure still meets a rich vertex
-    on every solvable root, and a verdict is exact. It costs one
-    subtraction and one lookup per new child, with u_a - 2u_b stored per
-    move beside its changes to the key and to the potential. Three levels
-    are held: ``before``, the level being expanded, and the next. The
-    count, the root and every child kept, is at most the search's on an
-    unsolvable root, where the unpruned closure's count equals it.
+    A child is pruned when a distribution kept in the level before,
+    ``before``, or in the level being expanded, ``level``, dominates it.
+    Solvability is monotone: a distribution at least as large at every
+    vertex can make every move sequence the smaller one can, so it is
+    solvable whenever the smaller one is. The move a -> b takes key to
+    c = key - 2e_a + e_b, and two distributions near key dominate c:
+
+    - key - e_a + 2e_b = c + e_a + e_b, the distribution whose move b -> a
+      gives key. If it is in ``before`` it has been expanded already.
+    - key - e_a + e_b = c + e_a, key with one pebble moved from a to b. If
+      it is in ``level``, this same pass expands it.
+
+    Either way c is skipped; if the dominator lies below the potential
+    goal, so does c, and c would not be expanded either. Each dominator
+    holds more pebbles than c and sits in the level of key or the level
+    before, both kept already, so induction along a solving sequence finds
+    every distribution on it dominated by one that is expanded: the
+    closure still meets a rich vertex on every solvable root, and a
+    verdict is exact. A new child costs one lookup in ``before`` and one
+    in ``level``, each after one subtraction, with u_a - 2u_b and
+    u_a - u_b stored per move beside its changes to the key and to the
+    potential. Three levels are held: ``before``, ``level`` and the next.
+    The count, the root and every child kept, is at most the search's on
+    an unsolvable root, where the unpruned closure's count equals it.
 
     It paces itself: the p-th next() runs until it has generated at least
     p * CLOSURE_RATIO * CLOSURE_EVERY nodes and yields (nodes, False). Its
@@ -358,11 +368,13 @@ def _closure(g: Graph, counts: list[int], target: int, t: int, dist: Sequence[in
     high = sum(f - e for v, (f, e) in enumerate(zip(fields, units)) if v != target)
     # per bit length of key & high: the field of the vertex holding that bit,
     # where its pile starts paying the toll alone, its moves as changes to
-    # the key, to the potential and to the key of the dominating
-    # distribution, and the mask of the fields below it
+    # the key, to the potential and to the keys of the two dominating
+    # distributions (up, looked up in before; over, in level), and the mask
+    # of the fields below it
     rich: list = [None]
     for v in range(n):
-        out = [(2 * units[v] - units[b], 2 * weights[v] - weights[b], units[v] - 2 * units[b])
+        out = [(2 * units[v] - units[b], 2 * weights[v] - weights[b],
+                units[v] - 2 * units[b], units[v] - units[b])
                for b in g.neighbors[v]]
         rich += [(fields[v], bits * v + dist[v], out, units[v] - 1)] * bits
     tfield, tshift = fields[target], bits * target
@@ -383,9 +395,9 @@ def _closure(g: Graph, counts: list[int], target: int, t: int, dist: Sequence[in
                 if key & field_v >= need << shift:
                     yield None, True
                     return
-                for dkey, dpot, dup in out:
+                for dkey, dpot, up, over in out:
                     child = key - dkey
-                    if child not in nxt and key - dup not in before:
+                    if child not in nxt and key - over not in level and key - up not in before:
                         nxt[child] = pot - dpot
                 r &= below
             while nodes + len(nxt) >= limit:

@@ -280,6 +280,12 @@ class ClaimLedger:
             writer.writerows(rows)
 
 
+def _exhausted(exc: BudgetExceeded) -> str:
+    """How far the oracle got before its budget ran out."""
+    return (f"oracle budget exhausted ({exc}; {exc.nodes_explored} nodes explored, "
+            f"{exc.elapsed:.2f} s)")
+
+
 def _check_point(claim: FormulaClaim, params: dict,
                  budget: Budget | None) -> CheckRecord:
     hyp = claim.hypothesis(**params)
@@ -292,9 +298,7 @@ def _check_point(claim: FormulaClaim, params: dict,
     try:
         report = compute_pebbling(g, targets=targets, t=t, budget=budget)
     except BudgetExceeded as exc:
-        return CheckRecord(claim.name, params, "inconclusive",
-                           f"oracle budget exhausted ({exc}; {exc.nodes_explored} nodes "
-                           f"explored, {exc.elapsed:.2f} s)", {}, hyp)
+        return CheckRecord(claim.name, params, "inconclusive", _exhausted(exc), {}, hyp)
     oracle = report.value
     evidence = {"oracle": oracle, "expected": expected, "t": t,
                 "targets": None if targets is None else [str(x) for x in targets],
@@ -329,12 +333,17 @@ def check_claim(name: str, points: Sequence[dict],
 
 
 class GrahamReport(_Record):
-    _fields = ("verdict", "f_left", "f_right", "f_product")
+    """``detail`` says how far an inconclusive check got, and is empty
+    otherwise."""
+
+    _fields = ("verdict", "f_left", "f_right", "f_product", "detail")
 
     def __init__(self, verdict: str,  # holds | violated | inconclusive
-                 f_left: int | None, f_right: int | None, f_product: int | None):
+                 f_left: int | None, f_right: int | None, f_product: int | None,
+                 detail: str = ""):
         self.verdict, self.f_left, self.f_right, self.f_product = \
             verdict, f_left, f_right, f_product
+        self.detail = detail
 
 
 def check_graham(g: Graph, h: Graph,
@@ -347,8 +356,8 @@ def check_graham(g: Graph, h: Graph,
         fg = compute_pebbling(g, budget=budget).value
         fh = fg if h == g else compute_pebbling(h, budget=budget).value
         fp = compute_pebbling(cartesian_product(g, h), budget=budget).value
-    except BudgetExceeded:
-        return GrahamReport("inconclusive", fg, fh, fp)
+    except BudgetExceeded as exc:
+        return GrahamReport("inconclusive", fg, fh, fp, _exhausted(exc))
     return GrahamReport("holds" if fp <= fg * fh else "violated", fg, fh, fp)
 
 

@@ -531,6 +531,15 @@ def test_verify_graham_with_a_trimmed_middle_path_factor(capsys):
     assert "holds (f_left=6, f_right=2, f_product=10)" in capsys.readouterr().out
 
 
+def test_verify_graham_says_how_far_it_got(capsys):
+    assert run(["verify", "graham", "--left", "path:3", "--right", "path:4",
+                "--budget-nodes", "10"]) == 2
+    assert re.fullmatch(
+        r"graham: inconclusive \(f_left=None, f_right=None, f_product=None\): oracle "
+        r"budget exhausted \(node budget of 10 exhausted; \d+ nodes explored, "
+        r"\d+\.\d\d s\)\n", capsys.readouterr().out)
+
+
 @pytest.mark.parametrize("argv", [
     ["lemma26", "--n", "2", "--budget-nodes", "10"],
     ["graham", "--left", "path:3", "--right", "path:3", "--budget-nodes", "10"],

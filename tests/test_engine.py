@@ -354,7 +354,7 @@ def test_search_budget_stops_at_the_same_node():
 
 def cor24_query():
     """cor24_witness(6) at u(1,2): unsolvable, 1,686 nodes for the search
-    alone and 581 when the closure settles it."""
+    alone and 152 when the closure settles it."""
     d, tgt = cor24_witness(6)
     g = trimmed_middle_path(6)
     return g, d.vector(g), g.index_of(tgt), 1
@@ -362,7 +362,7 @@ def cor24_query():
 
 def mc4_t2_query(extra=None):
     """The f_2(M(C4), v0) witness {v1:1, v2:15, v3:1}: unsolvable, 1,256
-    nodes for the search alone and 815 when the closure settles it; with a
+    nodes for the search alone and 290 when the closure settles it; with a
     pebble added at vertex index 7, solvable in 1,552."""
     g = middle_cycle(2)
     vec = [0] * g.n
@@ -384,7 +384,7 @@ def test_search_matches_recursive_reference_past_the_closure_probe():
     # the closure refutes both roots with fewer nodes than the search alone
     # (1,256 and 1,686), and three solvable neighbours run the closure
     # before the search finds a witness
-    assert sorted(n for n in nodes.values() if n >= CLOSURE_FIRST) == [162, 257, 581, 815, 1552]
+    assert sorted(n for n in nodes.values() if n >= CLOSURE_FIRST) == [152, 162, 257, 290, 1552]
 
 
 def closure_yields(g, vec, ti, t):
@@ -406,12 +406,11 @@ def test_the_closure_paces_itself_and_stops_at_its_verdict():
     # the p-th yield but the last comes once the closure holds at least
     # p * CLOSURE_RATIO * CLOSURE_EVERY nodes; the last carries the verdict,
     # and nothing follows it
-    d, tgt = cor24_witness(7)
-    g = trimmed_middle_path(7)
+    g, d, tgt = lemma_26_lower_side(4)
     yields = closure_yields(g, d.vector(g), g.index_of(tgt), 1)
     step = CLOSURE_RATIO * CLOSURE_EVERY
-    assert len(yields) == 9 and yields[-1] == (17_497, True)
-    assert [reached for reached, _ in yields[:3]] == [2049, 4099, 6145]
+    assert len(yields) == 9 and yields[-1] == (17_168, True)
+    assert [reached for reached, _ in yields[:3]] == [2048, 4097, 6144]
     for p, (reached, done) in enumerate(yields[:-1], 1):
         assert reached >= step * p and not done, p
     assert closure_yields(*mc4_t2_query(7)) == [(None, True)]
@@ -423,7 +422,7 @@ def test_closure_counts_the_search_nodes_and_finds_solvable_roots():
     # does not. The differential test of the closure's domination pruning.
     runs = refuted = 0
     for g in (path(4), cycle(5), complete(4), trimmed_middle_path(4),
-              middle_cycle(2)):
+              trimmed_middle_path(5), middle_cycle(2)):
         for k in range(7):
             for vec in weak_compositions(k, g.n):
                 for ti in range(g.n):
@@ -453,57 +452,64 @@ def budget_outcome(solve, query, cap, spent=0):
 
 
 @pytest.mark.parametrize("query, cap, spent, expected", [
-    (cor24_query(), 1686, 0, 581),
-    (cor24_query(), 1685, 0, 581),
-    (cor24_query(), 300, 0, 301),
-    (cor24_query(), 2000, 314, 895),
-    (cor24_query(), 2000, 315, 896),
+    (cor24_query(), 1686, 0, 152),
+    (cor24_query(), 1685, 0, 152),
+    (cor24_query(), 300, 0, 152),
+    (cor24_query(), 2000, 314, 466),
+    (cor24_query(), 2000, 315, 467),
     (mc4_t2_query(7), 1552, 0, 1552),
     (mc4_t2_query(7), 1551, 0, 1552),
-    (cor24_query(), 581, 0, 581),
-    (cor24_query(), 580, 0, 581),
-    (cor24_query(), 2000, 1419, 2000),
-    (cor24_query(), 2000, 1420, 2001),
+    (cor24_query(), 581, 0, 152),
+    (cor24_query(), 580, 0, 152),
+    (cor24_query(), 2000, 1419, 1571),
+    (cor24_query(), 2000, 1420, 1572),
+    (cor24_query(), 152, 0, 152),
+    (cor24_query(), 151, 0, 152),
+    (cor24_query(), 2000, 1848, 2000),
+    (cor24_query(), 2000, 1849, 2001),
 ], ids=["cor24-cap-1686", "cor24-cap-1685", "cor24-cap-300", "cor24-shared-room",
         "cor24-shared-one-short", "solvable-cap-1552", "solvable-cap-1551",
-        "cor24-cap-581", "cor24-cap-580", "cor24-shared-room-581", "cor24-shared-580"])
+        "cor24-cap-581", "cor24-cap-580", "cor24-shared-room-581", "cor24-shared-580",
+        "cor24-cap-152", "cor24-cap-151", "cor24-shared-room-152", "cor24-shared-151"])
 def test_closure_spends_a_node_cap_where_the_search_alone_does(query, cap, spent,
                                                                expected):
     # the search alone's outcome, or an unsolvable verdict the closure
     # settled within the cap, charged to the budget with its count; the
-    # closure's count for cor24_query() is 581
+    # closure's count for cor24_query() is 152
     got = budget_outcome(_solve_counts, query, cap, spent)
     assert got == budget_outcome(recursive_solve_counts, query, cap, spent) or (
         got[0][:2] == (False, None) and got[1] == spent + got[0][2] <= cap)
     assert got[-1] == expected
 
 
-def lemma_26_lower_side_at_n4():
-    """M(C8) with 2^5 + 8 - 3 = 37 pebbles: 31 on v4 and 1 on each other
-    original but the target v0."""
-    g = middle_cycle(4)
-    counts = {Original(i): 1 for i in (1, 2, 3, 5, 6, 7)}
-    counts[Original(4)] = 31
+def lemma_26_lower_side(n):
+    """M(C_2n) with 2^(n+1) + 2n - 3 pebbles: 2^(n+1) - 1 on v_n and 1 on
+    each other original but the target v0 (37 pebbles on M(C8) at n = 4,
+    71 on M(C10) at n = 5)."""
+    g = middle_cycle(n)
+    counts = {Original(i): 1 for i in range(1, 2 * n) if i != n}
+    counts[Original(n)] = 2 ** (n + 1) - 1
     return g, Distribution(counts), Original(0)
 
 
-def test_a_time_budget_stops_the_mc8_refutation():
-    g, d, tgt = lemma_26_lower_side_at_n4()
+def test_a_time_budget_stops_the_mc10_refutation():
+    # the closure refutes M(C10) in 2,857,680 nodes, far past 0.2 s
+    g, d, tgt = lemma_26_lower_side(5)
     with pytest.raises(BudgetExceeded, match="time budget exhausted"):
         is_solvable(g, d, tgt, budget=Budget(seconds=0.2))
 
 
 def test_lemma_26_lower_side_at_n4():
     # f(M(C8)) > 37, refuted by the closure; the search alone takes 371,897
-    g, d, tgt = lemma_26_lower_side_at_n4()
+    g, d, tgt = lemma_26_lower_side(4)
     out = is_solvable(g, d, tgt)
-    assert not out.solvable and out.nodes_explored == 135_894
+    assert not out.solvable and out.nodes_explored == 17_168
 
 
 def frozen_queries():
     """cor24_query() and mc4_t2_query(), each as it is, with one pebble added
     at any vertex, and with one pebble moved from an occupied vertex to any
-    other; then the root of cor24_witness(7) on TMP(7), 17,497 nodes."""
+    other; then the root of cor24_witness(7) on TMP(7), 2,824 nodes."""
     for g, base, ti, t in (cor24_query(), mc4_t2_query()):
         changed = [[]] + [[(+1, v)] for v in range(g.n)] + [
             [(-1, a), (+1, b)] for a in range(g.n) if base[a] for b in range(g.n) if b != a]
@@ -528,7 +534,7 @@ def test_solver_triples_are_frozen():
         for cap in (300, 1500):
             digest.update(repr(budget_outcome(_solve_counts, query, cap)).encode())
     assert digest.hexdigest() == (
-        "5486c844aadabfd640a50bf0c6f221118332cfad378c7af1e5b587e9f699321a")
+        "20c7e83c83eb3f41465791b5c634c47d69b3471cd8cf9d162de04692be148598")
 
 
 # -- enumeration -------------------------------------------------------------

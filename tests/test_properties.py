@@ -11,6 +11,8 @@ from pebblekit.engine import (Distribution, Move, apply_move, is_solvable,
 from pebblekit.graphs import (Graph, Original, complete, cycle, middle_cycle,
                               path, trimmed_middle_path)
 
+from test_engine import closure_to_the_end, recursive_solve_counts
+
 POOL = [path(4), path(5), cycle(5), cycle(6), complete(4),
         trimmed_middle_path(4), middle_cycle(2)]
 
@@ -72,6 +74,28 @@ def test_solvability_monotone_under_addition(case, where):
     lab = g.vertices[where % g.n]
     richer = Distribution({**d.counts, lab: d.get(lab) + 1})
     assert is_solvable(g, richer, target).solvable
+
+
+@given(st.sampled_from(POOL + [trimmed_middle_path(5)]), st.data())
+@settings(max_examples=200, deadline=None)
+def test_closure_agrees_with_the_unpruned_search(g, data):
+    """The closure skips a distribution that one it expands dominates, by the
+    monotonicity lemma: a distribution at least as large at every vertex is
+    t-solvable whenever the smaller one is. Driven to its end on a root the
+    search's shortcuts leave open, it must give the unpruned search's verdict
+    and, refuting, count no more nodes."""
+    ti = data.draw(st.integers(0, g.n - 1))
+    t = data.draw(st.integers(1, 3))
+    vec = [0] * g.n
+    for v in data.draw(st.lists(st.integers(0, g.n - 1), max_size=2 * g.n)):
+        if v != ti or vec[v] + 1 < t:  # the target stays short of t
+            vec[v] += 1
+    dist = g.distances_from(ti)
+    if sum(c << (max(dist) - d) for c, d in zip(vec, dist)) < t << max(dist):
+        return  # the potential cutoff settles it before the search starts
+    ok, _, nodes = recursive_solve_counts(g, list(vec), ti, t)
+    reached = closure_to_the_end(g, vec, ti, t)
+    assert reached is None if ok else reached <= nodes
 
 
 @given(graph_dist_target())

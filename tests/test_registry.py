@@ -205,6 +205,9 @@ def test_graham_computes_an_equal_factor_once(monkeypatch):
 def test_graham_inconclusive_on_budget():
     rep = check_graham(path(3), path(4), budget=Budget(node_cap=10))
     assert rep.verdict == "inconclusive"
+    assert re.fullmatch(r"oracle budget exhausted \(node budget of 10 exhausted; "
+                        r"\d+ nodes explored, \d+\.\d\d s\)", rep.detail), rep.detail
+    assert check_graham(path(2), path(2)).detail == ""
 
 
 # -- completeness ------------------------------------------------------------

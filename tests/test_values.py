@@ -70,7 +70,10 @@ def test_reprs():
         "PebblingReport(value=4, per_target={Original(index=0): 4}, witness=None, "
         "distributions_checked=0, dp_targets=[], max_level=0)")
     assert repr(GrahamReport("holds", 4, 4, 16)) == \
-        "GrahamReport(verdict='holds', f_left=4, f_right=4, f_product=16)"
+        "GrahamReport(verdict='holds', f_left=4, f_right=4, f_product=16, detail='')"
+    assert repr(GrahamReport("inconclusive", 4, None, None, "d")) == (
+        "GrahamReport(verdict='inconclusive', f_left=4, f_right=None, f_product=None, "
+        "detail='d')")
     assert repr(StrategyReport(True, 1, MoveSequence([]), "x")) == (
         "StrategyReport(succeeded=True, delivered=1, sequence=MoveSequence(0 moves), "
         "rationale='x', notes=())")
