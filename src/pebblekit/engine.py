@@ -28,6 +28,12 @@ targets it runs once per orbit under the graph's automorphisms
 (``compute_pebbling``). ``sweep_level`` still classifies a single level by
 enumeration and the solver; tests use it as the reference.
 
+The DP and the closure pack count vectors by ``_layout``, each vertex's
+field only as wide as the toll lemma needs, so the keys of small graphs
+fit one 30-bit digit of a Python int and no field ever carries. The
+search keeps fields wide enough for the total, since its states can pile
+pebbles past a toll.
+
 All arithmetic that feeds a pruning decision is exact integer arithmetic;
 no floating point is involved anywhere in the search.
 """
@@ -39,7 +45,7 @@ import math
 import os
 import time
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import groupby
+from itertools import accumulate, groupby
 
 from .errors import (BudgetExceeded, InsufficientPebbles, InvalidParameter,
                      NotAdjacent, read_int, read_json, read_seconds)
@@ -307,6 +313,38 @@ def _greedy_counts(g: Graph, counts: list[int], target: int, t: int,
     return moves
 
 
+def _layout(dist: Sequence[int], t: int,
+            root: Sequence[int] = ()) -> tuple[list[int], list[int]]:
+    """Field widths and offsets of a distribution packed into an int by the
+    down-set DP and the closure: vertex v in bits [shift_v, shift_v + width_v),
+    in vertex order, so the last vertex is the most significant and integer
+    order is colex order.
+
+    Field v gets ((t << dist(v)) + 1).bit_length() bits, enough for
+    t*2^dist(v) + 1; the target, at distance 0, gets (t + 1).bit_length().
+    No key either forms carries out of a field, by the toll lemma: a vertex
+    v holding t*2^dist(v) pebbles pays the toll of t pebbles on the target
+    alone (for the target, t pebbles already there), so a distribution the DP
+    keeps (unsolvable) or the closure expands (no rich vertex found) holds
+    at most t*2^dist(v) - 1 on every v. A DP candidate adds one pebble to
+    such a member and its stuck test's child one more; a closure child and
+    its ``over`` key add one to an expanded distribution and its ``up`` key
+    two. So no field a key forms exceeds t*2^dist(v) + 1, every key is the
+    exact packing of its count vector, and no move needs an overflow test.
+    A key past the members' range names a solvable distribution, so it is
+    in no level, and a lookup answers as for any other non-member.
+
+    A closure ``root`` passed in directly may hold more than that on a
+    vertex (the solver's rich-vertex shortcut settles such roots first);
+    its field then widens to hold the root's count plus 2, all that keys
+    formed before the closure finds that vertex rich add to it.
+    """
+    widths = [((t << d) + 1).bit_length() for d in dist]
+    for v, c in enumerate(root):
+        widths[v] = max(widths[v], (c + 2).bit_length())
+    return widths, list(accumulate(widths[:-1], initial=0))
+
+
 # The search resumes the closure first at its CLOSURE_FIRST-th node and then
 # every CLOSURE_EVERY nodes, and the p-th resume runs the closure to
 # p * CLOSURE_RATIO * CLOSURE_EVERY nodes.
@@ -321,12 +359,12 @@ def _closure(g: Graph, counts: list[int], target: int, t: int, dist: Sequence[in
     counts one level at a time, level j being those j moves away.
 
     Every move removes exactly one pebble, so each distribution sits in one
-    level. Keys are packed as the search packs them, and the rich vertices
-    of a distribution are walked with a ``high`` mask, as in
-    ``_downset_dp``, the target's field left out because the target is
-    never a source. Every distinct child of an expanded distribution is a
-    node, children below the potential goal included, and only those at or
-    above the goal are expanded.
+    level. Keys are packed by ``_layout`` with fields widened for the
+    root, and the rich vertices of a distribution are walked with a
+    ``high`` mask, as in ``_downset_dp``, the target's field left out
+    because the target is never a source. Every distinct child of an
+    expanded distribution is a node, children below the potential goal
+    included, and only those at or above the goal are expanded.
 
     A child is pruned when a distribution kept in the level before,
     ``before``, or in the level being expanded, ``level``, dominates it.
@@ -362,9 +400,9 @@ def _closure(g: Graph, counts: list[int], target: int, t: int, dist: Sequence[in
     resumes it checks caps and deadlines.
     """
     n = len(counts)
-    bits = sum(counts).bit_length()
-    units = [1 << bits * v for v in range(n)]
-    fields = [((1 << bits) - 1) * e for e in units]
+    widths, shifts = _layout(dist, t, counts)
+    units = [1 << s for s in shifts]
+    fields = [((1 << w) - 1) << s for w, s in zip(widths, shifts)]
     high = sum(f - e for v, (f, e) in enumerate(zip(fields, units)) if v != target)
     # per bit length of key & high: the field of the vertex holding that bit,
     # where its pile starts paying the toll alone, its moves as changes to
@@ -376,10 +414,10 @@ def _closure(g: Graph, counts: list[int], target: int, t: int, dist: Sequence[in
         out = [(2 * units[v] - units[b], 2 * weights[v] - weights[b],
                 units[v] - 2 * units[b], units[v] - units[b])
                for b in g.neighbors[v]]
-        rich += [(fields[v], bits * v + dist[v], out, units[v] - 1)] * bits
-    tfield, tshift = fields[target], bits * target
+        rich += [(fields[v], shifts[v] + dist[v], out, units[v] - 1)] * widths[v]
+    tfield, tshift = fields[target], shifts[target]
     before: dict[int, int] = {}
-    level = {sum(c << bits * v for v, c in enumerate(counts)):
+    level = {sum(c << s for c, s in zip(counts, shifts)):
              sum(c * w for c, w in zip(counts, weights))}
     nodes = 1  # the root
     limit = step = CLOSURE_RATIO * CLOSURE_EVERY
@@ -628,10 +666,11 @@ class SweepCheckpoint:
     of unsolvable distributions, so a resumed run continues from there.
 
     The file must be UTF-8 JSON, and a loaded level must be as
-    ``save_level`` wrote it, each member holding k pebbles with fewer than
-    t on the target, or an InvalidParameter names the file. A level with
-    members deleted cannot be detected and may give too small a value: a
-    resumed value rests on the file.
+    ``save_level`` wrote it, in the DP's field widths (``_layout``), each
+    member holding k pebbles and fewer than t*2^dist(v) on each vertex v,
+    or an InvalidParameter names the file. A level with members deleted
+    cannot be detected and may give too small a value: a resumed value
+    rests on the file.
     """
 
     def __init__(self, path: str):
@@ -650,10 +689,12 @@ class SweepCheckpoint:
             json.dump(self._load(), fh)
         os.replace(tmp, self.path)
 
-    def load_level(self, key: str, bits: int, n: int, ti: int,
+    def load_level(self, key: str, dist: Sequence[int],
                    t: int) -> tuple[int, set[int], int, int] | None:
         """(k, packed U_k, candidates checked so far, largest level so far)
-        saved under key for n vertices and target index ti, if any."""
+        saved under key for a target at distances dist, if any. Each member
+        is read field by field: a field over t*2^dist(v) - 1 would break the
+        no-carry bound the DP's keys rest on (``_layout``)."""
         data = self._load()
         levels = data.get("levels", {}) if isinstance(data, dict) else None
         if not isinstance(levels, dict):
@@ -661,26 +702,29 @@ class SweepCheckpoint:
         entry = levels.get(key)
         if entry is None:
             return None
-        if not (isinstance(entry, dict) and entry.get("bits") == bits
+        widths, shifts = _layout(dist, t)
+        if not (isinstance(entry, dict) and entry.get("widths") == widths
                 and all(type(entry.get(f)) is int and entry[f] >= 0
                         for f in ("k", "candidates", "max_level"))
                 and isinstance(entry.get("unsolvable"), list) and entry["unsolvable"]):
             raise InvalidParameter(f"checkpoint {self.path}: no saved level "
                                    f"of the expected shape under {key}")
-        k, mask = entry["k"], (1 << bits) - 1
+        k, end = entry["k"], shifts[-1] + widths[-1]
+        caps = [((1 << w) - 1, s, (t << d) - 1) for w, s, d in zip(widths, shifts, dist)]
         for c in entry["unsolvable"]:
-            # c >> bits * n is -1 for a negative c
-            if not (type(c) is int and c >> bits * n == 0 and (c >> bits * ti) & mask < t
-                    and sum((c >> bits * v) & mask for v in range(n)) == k):
+            # c >> end is -1 for a negative c
+            if not (type(c) is int and c >> end == 0
+                    and all((c >> s) & mask <= cap for mask, s, cap in caps)
+                    and sum((c >> s) & mask for mask, s, _ in caps) == k):
                 raise InvalidParameter(
-                    f"checkpoint {self.path}: entry {key} holds {c!r}, not a "
-                    f"distribution of {k} pebbles with fewer than {t} on the target")
+                    f"checkpoint {self.path}: entry {key} holds {c!r}, not a distribution "
+                    f"of {k} pebbles with fewer than {t}*2^dist(v) on each vertex v")
         return k, set(entry["unsolvable"]), entry["candidates"], entry["max_level"]
 
-    def save_level(self, key: str, bits: int, k: int, level: Iterable[int],
+    def save_level(self, key: str, widths: list[int], k: int, level: Iterable[int],
                    candidates: int, max_level: int) -> None:
         self._load().setdefault("levels", {})[key] = {
-            "bits": bits, "k": k, "candidates": candidates, "max_level": max_level,
+            "widths": widths, "k": k, "candidates": candidates, "max_level": max_level,
             "unsolvable": sorted(level)}
         self._store()
 
@@ -713,29 +757,21 @@ class PebblingReport(_Record):
         self.max_level = max_level
 
 
-def _field_bits(g: Graph, ti: int, t: int) -> int:
-    """Bits per vertex in a packed distribution, enough for every count the
-    DP meets. With fewer than t pebbles on the target, a vertex holding
-    t*2^ecc pebbles solves alone, so by pigeonhole every distribution of
-    (n-1)(t*2^ecc - 1) + t pebbles is t-solvable and no level gets larger."""
-    dist = g.distances_from(ti)
-    return ((g.n - 1) * ((t << max(dist)) - 1) + t).bit_length()
-
-
 def _downset_dp(g: Graph, ti: int, t: int, budget: Budget | None,
                 checkpoint: SweepCheckpoint | None) -> tuple[int, list[int], int, int]:
     """f_t(g, target) by the down-set DP over unsolvable distributions.
 
     Returns the value, the colex-first unsolvable distribution of size
     value-1 as a count vector, the number of candidates checked, and the
-    largest level |U_k|. Distributions are packed into ints, vertex v in
-    bits [v*b, (v+1)*b), so the last vertex is the most significant and
-    integer order is colex order.
+    largest level |U_k|. Distributions are packed into ints by
+    ``_layout``, each field as wide as the toll lemma allows, so the last
+    vertex is the most significant, integer order is colex order, and no
+    key the DP forms carries from one field into the next.
 
     Each candidate of level k is generated once, from its one parent
-    c - e_top(c), where top(c) = (c.bit_length() - 1) // b is the highest
-    vertex holding a pebble: u in U_{k-1} is extended only by e_v for
-    v >= top(u). U is a down-set (removing a pebble never makes a
+    c - e_top(c), where top(c), the vertex whose field holds c's top bit,
+    is the highest vertex holding a pebble: u in U_{k-1} is extended only
+    by e_v for v >= top(u). U is a down-set (removing a pebble never makes a
     distribution solvable), so every c in U_k has that parent in U_{k-1},
     U_k is the same as when every u is extended by every e_v, and no set is
     needed to deduplicate.
@@ -753,14 +789,14 @@ def _downset_dp(g: Graph, ti: int, t: int, budget: Budget | None,
     checkpoint keeps the members only; their potentials are recomputed
     when a level is loaded.
     """
-    bits = _field_bits(g, ti, t)
     n = g.n
     dist = g.distances_from(ti)
     ecc = max(dist)
     goal = t << ecc
     weights = [1 << (ecc - d) for d in dist]
-    units = [1 << bits * v for v in range(n)]
-    fields = [((1 << bits) - 1) * e for e in units]
+    widths, shifts = _layout(dist, t)
+    units = [1 << s for s in shifts]
+    fields = [((1 << w) - 1) << s for w, s in zip(widths, shifts)]
     high = sum(fields) - sum(units)
     # per bit length of a packed int: the extensions (unit, weight) of a
     # member whose top vertex is the one holding that bit, and, for the
@@ -769,17 +805,16 @@ def _downset_dp(g: Graph, ti: int, t: int, budget: Budget | None,
     ext, rich = [list(zip(units, weights))], [None]
     for v in range(n):
         out = [2 * units[v] - units[b] for b in g.neighbors[v]]
-        ext += [list(zip(units[v:], weights[v:]))] * bits
-        rich += [(out, units[v] - 1)] * bits
+        ext += [list(zip(units[v:], weights[v:]))] * widths[v]
+        rich += [(out, units[v] - 1)] * widths[v]
     tfield, tcap = fields[ti], t * units[ti]
     k, prev, checked, widest = 0, {0: 0}, 0, 1  # U_0: the empty distribution
     if checkpoint is not None:
         key = f"{graph_hash(g)}:{ti}:{t}"
-        saved = checkpoint.load_level(key, bits, n, ti, t)
+        saved = checkpoint.load_level(key, dist, t)
         if saved is not None:
             k, level, checked, widest = saved
-            prev = {c: sum(((c & f) >> bits * v) * w
-                           for v, (f, w) in enumerate(zip(fields, weights)))
+            prev = {c: sum(((c & f) >> s) * w for f, s, w in zip(fields, shifts, weights))
                     for c in level}
 
     while True:
@@ -814,9 +849,9 @@ def _downset_dp(g: Graph, ti: int, t: int, budget: Budget | None,
         k, prev = k + 1, cur
         widest = max(widest, len(cur))
         if checkpoint is not None:
-            checkpoint.save_level(key, bits, k, prev, checked, widest)
+            checkpoint.save_level(key, widths, k, prev, checked, widest)
     first = min(prev)
-    return k + 1, [(first & f) >> bits * v for v, f in enumerate(fields)], checked, widest
+    return k + 1, [(first & f) >> s for f, s in zip(fields, shifts)], checked, widest
 
 
 def compute_pebbling(g: Graph, targets: Sequence[VertexLabel] | None = None,

@@ -718,10 +718,18 @@ def test_no_flag_is_read_by_int_or_float():
             assert action.type not in (int, float), (parser.prog, action.option_strings)
 
 
+def _in_old_layout(data):
+    """The saved level as once written: one width, ``bits``, for every field."""
+    (entry,) = data["levels"].values()
+    del entry["widths"]
+    entry["bits"] = 3
+
+
 @pytest.mark.parametrize("edit", [
     lambda data: next(iter(data["levels"].values())).update(k=8),
     lambda data: data.update(levels=5),
-], ids=["level-size-edited", "levels-not-a-map"])
+    _in_old_layout,
+], ids=["level-size-edited", "levels-not-a-map", "old-layout"])
 def test_a_checkpoint_not_as_saved_is_a_usage_error(tmp_path, capsys, edit):
     g, cp = tmp_path / "p3.json", tmp_path / "cp.json"
     assert run(["construct", "path", "--n", "3", "--out", str(g)]) == 0

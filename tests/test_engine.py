@@ -720,8 +720,10 @@ def test_dp_matches_unpruned_search():
 def allpairs_downset_dp(g, ti, t):
     """The DP's level step before candidates had one parent: every u in
     U_{k-1} plus every e_v, deduplicated by a set, each field read by shift
-    and mask, every field tested, no potential. Returns (f_t, colex-first
-    witness vector, candidates, U_{f-1} packed with the engine's bits)."""
+    and mask, every field tested, no potential. Keys are packed in its own
+    pigeonhole layout, one width for every field, independent of the
+    engine's. Returns (f_t, colex-first witness vector, candidates, U_{f-1}
+    as count vectors)."""
     ecc = max(g.distances_from(ti))
     bits = ((g.n - 1) * ((t << ecc) - 1) + t).bit_length()
     mask = (1 << bits) - 1
@@ -740,8 +742,18 @@ def allpairs_downset_dp(g, ti, t):
         if not cur:
             break
         k, prev = k + 1, cur
-    first = min(prev)
-    return k + 1, [(first >> bits * v) & mask for v in range(g.n)], checked, prev
+    vectors = sorted(([(c >> bits * v) & mask for v in range(g.n)] for c in prev),
+                     key=lambda vec: vec[::-1])  # colex
+    return k + 1, vectors[0], checked, vectors
+
+
+def saved_vectors(entry):
+    """The members of a saved checkpoint level as count vectors, read in the
+    field widths the entry names."""
+    widths = entry["widths"]
+    shifts = [sum(widths[:v]) for v in range(len(widths))]
+    return sorted(([(c >> s) & ((1 << w) - 1) for w, s in zip(widths, shifts)]
+                   for c in entry["unsolvable"]), key=lambda vec: vec[::-1])
 
 
 # (graph, t values, targets; None means all). Vertex-transitive graphs are
@@ -751,11 +763,11 @@ def allpairs_downset_dp(g, ti, t):
 # at t=3 (3.5 s) and P3xP3 at t=3 (about 12 s).
 ONE_PARENT_DIFFERENTIAL = [
     pytest.param(path(2), (1, 2, 3), None, id="P2"),
-    pytest.param(path(3), (1, 2, 3), None, id="P3"),
-    pytest.param(path(4), (1, 2, 3), None, id="P4"),
+    pytest.param(path(3), (1, 2, 3, 4), None, id="P3"),
+    pytest.param(path(4), (1, 2, 3, 4), None, id="P4"),
     pytest.param(path(5), (1, 2, 3), None, id="P5"),
     pytest.param(cycle(4), (1, 2, 3), [Original(0)], id="C4"),
-    pytest.param(cycle(5), (1, 2, 3), [Original(0)], id="C5"),
+    pytest.param(cycle(5), (1, 2, 3, 4), [Original(0)], id="C5"),
     pytest.param(cycle(6), (1, 2, 3), [Original(0)], id="C6"),
     pytest.param(cycle(7), (1, 2, 3), [Original(0)], id="C7"),
     pytest.param(complete(4), (1, 2, 3), [Original(1)], id="K4"),
@@ -778,7 +790,11 @@ def test_one_parent_candidates_match_all_pairs_step(g, ts, targets, tmp_path):
     # lemma (the potential never rises under a move) lets the engine keep a
     # candidate of potential below t untested, and a vertex holding fewer
     # than 2 pebbles has no move to test; the reference uses neither, and
-    # the last level the engine saves must equal the reference's U_{f-1}.
+    # the last level the engine saves must equal the reference's U_{f-1},
+    # compared as count vectors, since the two pack them differently. At
+    # t = 1, 2 and 4 every t*2^dist(v) is a power of two, so only the
+    # headroom values t*2^dist(v) and t*2^dist(v) + 1, which no member
+    # holds, set a field's top bit; t = 4 tries that with wider fields.
     for t in ts:
         for lab in targets or g.vertices:
             value, vec, cands, last = allpairs_downset_dp(g, g.index_of(lab), t)
@@ -791,7 +807,7 @@ def test_one_parent_candidates_match_all_pairs_step(g, ts, targets, tmp_path):
             with open(cp_file) as fh:
                 (entry,) = json.load(fh)["levels"].values()
             assert entry["k"] == value - 1, (lab, t)
-            assert entry["unsolvable"] == sorted(last), (lab, t)
+            assert saved_vectors(entry) == last, (lab, t)
 
 
 @pytest.mark.parametrize("g,target,t,counts", [
@@ -888,19 +904,23 @@ def test_compute_pebbling_resumes_from_checkpoint(tmp_path):
     lambda e: e.pop("max_level"),
     lambda e: e.update(unsolvable=[]),
     lambda e: e.update(unsolvable=[3.0]),
-    lambda e: e.update(unsolvable=[3 << 6]),           # 3 pebbles on the target v3
-    lambda e: e.update(unsolvable=[3 + (1 << 9)]),     # a field past the last vertex
+    lambda e: e.update(unsolvable=[3 << 5]),           # 3 pebbles on the target v3
+    lambda e: e.update(unsolvable=[3 + (1 << 7)]),     # a field past the last vertex
+    lambda e: e.update(bits=3) or e.pop("widths"),     # 3 bits per vertex, as once saved
+    lambda e: e.update(unsolvable=[1 + (2 << 3)]),     # 2 pebbles on v2 pay the toll alone
 ], ids=["wrong-size", "boolean-size", "negative-count", "missing-field",
-        "empty-level", "float-member", "member-covers-target", "member-overflows"])
+        "empty-level", "float-member", "member-covers-target", "member-overflows",
+        "old-layout", "member-pays-the-toll"])
 def test_checkpoint_rejects_a_level_not_as_saved(tmp_path, edit):
-    # P3 with target v3: 3 bits per vertex, and the saved level is U_3
+    # P3 with target v3: fields of 3, 2 and 2 bits at offsets 0, 3 and 5
+    # (sized for 5, 3 and 2 pebbles), and the saved level is U_3 = {(3, 0, 0)}
     g, target = path(3), [Original(3)]
     cp_file = str(tmp_path / "cp.json")
     compute_pebbling(g, targets=target, checkpoint=SweepCheckpoint(cp_file))
     with open(cp_file) as fh:
         data = json.load(fh)
     (entry,) = data["levels"].values()
-    assert entry["bits"] == 3 and entry["k"] == 3
+    assert entry["widths"] == [3, 2, 2] and entry["k"] == 3 and entry["unsolvable"] == [3]
     edit(entry)
     with open(cp_file, "w") as fh:
         json.dump(data, fh)

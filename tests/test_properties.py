@@ -6,12 +6,12 @@ from math import comb
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pebblekit.engine import (Distribution, Move, apply_move, is_solvable,
+from pebblekit.engine import (Distribution, Move, _layout, apply_move, is_solvable,
                               potential, replay, weak_compositions)
 from pebblekit.graphs import (Graph, Original, complete, cycle, middle_cycle,
                               path, trimmed_middle_path)
 
-from test_engine import closure_to_the_end, recursive_solve_counts
+from test_engine import closure_to_the_end, closure_yields, recursive_solve_counts
 
 POOL = [path(4), path(5), cycle(5), cycle(6), complete(4),
         trimmed_middle_path(4), middle_cycle(2)]
@@ -96,6 +96,57 @@ def test_closure_agrees_with_the_unpruned_search(g, data):
     ok, _, nodes = recursive_solve_counts(g, list(vec), ti, t)
     reached = closure_to_the_end(g, vec, ti, t)
     assert reached is None if ok else reached <= nodes
+
+
+def pack(vec, shifts):
+    return sum(c << s for c, s in zip(vec, shifts))
+
+
+def unpack(key, widths, shifts):
+    return [(key >> s) & ((1 << w) - 1) for w, s in zip(widths, shifts)]
+
+
+@st.composite
+def layout_case(draw):
+    """A graph, t, a target, and two count vectors holding up to
+    t*2^dist(v) + 1 on each vertex v."""
+    g = draw(st.sampled_from([path(4), cycle(5), complete(4), trimmed_middle_path(4),
+                              middle_cycle(2)]))
+    t = draw(st.integers(1, 4))
+    ti = draw(st.integers(0, g.n - 1))
+    dist = g.distances_from(ti)
+    vecs = st.tuples(*(st.integers(0, (t << d) + 1) for d in dist)).map(list)
+    return g, t, ti, draw(vecs), draw(vecs)
+
+
+@given(layout_case(), st.integers(0, 40))
+@settings(max_examples=300, deadline=None)
+def test_the_layout_never_carries_and_keeps_colex_order(case, extra):
+    """The toll lemma: a vertex v holding t*2^dist(v) pebbles pays the toll
+    of t pebbles on the target alone, so an unsolvable distribution holds at
+    most t*2^dist(v) - 1 on v, and a key the DP or the closure forms from
+    one at most t*2^dist(v) + 1. Every count vector up to that packs and
+    unpacks to itself (the largest of them included), and packed integer
+    order is colex order. A closure root holding more than its toll on one
+    vertex widens that field, so it and every key formed from it pack
+    exactly, and the closure finds the vertex rich."""
+    g, t, ti, a, b = case
+    dist = g.distances_from(ti)
+    widths, shifts = _layout(dist, t)
+    for vec in (a, b, [(t << d) + 1 for d in dist]):
+        assert unpack(pack(vec, shifts), widths, shifts) == vec
+    assert (pack(a, shifts) < pack(b, shifts)) == (a[::-1] < b[::-1])
+
+    v = max(range(g.n), key=dist.__getitem__)  # a vertex farthest from the target
+    root = list(a)
+    root[ti] = min(root[ti], t - 1)
+    root[v] = (t << dist[v]) + extra
+    widths, shifts = _layout(dist, t, root)
+    for add in (0, 1, 2):
+        vec = list(root)
+        vec[v] += add
+        assert unpack(pack(vec, shifts), widths, shifts) == vec
+    assert closure_yields(g, root, ti, t) == [(None, True)]
 
 
 @given(graph_dist_target())
