@@ -1,9 +1,11 @@
 """Pebble distributions, moves, and the exact solvability search.
 
 The solver decides t-solvability by depth-first search over distributions
-with a transposition table, after a stack of cheap checks: target already
-covered, a single vertex rich enough to pay the full 2^d toll, a greedy
-run, and the exact-rational potential cutoff. The search runs on an
+with a transposition table, after a stack of cheap checks. The first
+three, ``_quick_moves``, are shared with ``strategies.greedy_solver``:
+target already covered, a single vertex rich enough to pay the full 2^d
+toll alone (it sends just the toll), and a greedy run; the last is the
+exact-rational potential cutoff. The search runs on an
 explicit stack, so no input can exhaust Python's recursion limit. States
 are count vectors packed into ints, and every move carries precomputed
 changes to the packed key and to the potential, so a search node costs a
@@ -279,36 +281,39 @@ def _push_half(counts: list[int], a: int, b: int,
         moves.extend([(a, b)] * k)
 
 
-def _drain_route(g: Graph, counts: list[int], dist: Sequence[int],
-                 v: int, moves: list[tuple[int, int]]) -> None:
-    """Push floor-halves of v's pile step by step toward the target,
-    absorbing whatever lies on the route. Mutates counts and moves. Called
-    only when v alone can pay the toll, so every step moves a pebble."""
-    cur = v
-    while dist[cur] > 0:
-        nxt = _next_hop(g, dist, cur)
-        _push_half(counts, cur, nxt, moves)
-        cur = nxt
-
-
-def _greedy_counts(g: Graph, counts: list[int], target: int, t: int,
-                   dist: Sequence[int]) -> list[tuple[int, int]] | None:
-    """Richest-vertex-first greedy; mutates counts. None means inconclusive."""
+def _quick_moves(g: Graph, counts: Sequence[int], target: int, t: int,
+                 dist: Sequence[int]) -> list[tuple[int, int]] | None:
+    """The solver's cheap stages, in order, on a copy of counts: no moves
+    when the target holds t already; else the first vertex v that can pay
+    the toll alone sends just the toll, need*2^dist(v) pebbles, halving its
+    pile step by step toward the target and absorbing whatever lies on the
+    route; else the richest-vertex-first greedy. None means the greedy got
+    stuck: inconclusive."""
+    need = t - counts[target]
+    if need <= 0:
+        return []
+    work = list(counts)
     moves: list[tuple[int, int]] = []
-    while counts[target] < t:
-        best = -1
-        best_key = None
-        for v in range(len(counts)):
-            if v != target and counts[v] >= 2:
-                key = (counts[v], -dist[v], -v)
+    for v, c in enumerate(counts):
+        if v != target and c >> dist[v] >= need:
+            work[v] = need << dist[v]
+            while dist[v]:  # every step moves a pebble
+                nxt = _next_hop(g, dist, v)
+                _push_half(work, v, nxt, moves)
+                v = nxt
+            return moves
+    while work[target] < t:
+        best, best_key = -1, None
+        for v in range(len(work)):
+            if v != target and work[v] >= 2:
+                key = (work[v], -dist[v], -v)
                 if best_key is None or key > best_key:
-                    best_key = key
-                    best = v
+                    best_key, best = key, v
         if best < 0:
             return None
         nxt = _next_hop(g, dist, best)
-        counts[best] -= 2
-        counts[nxt] += 1
+        work[best] -= 2
+        work[nxt] += 1
         moves.append((best, nxt))
     return moves
 
@@ -449,28 +454,13 @@ def _closure(g: Graph, counts: list[int], target: int, t: int, dist: Sequence[in
 def _solve_counts(g: Graph, counts: list[int], target: int, t: int,
                   budget: Budget | None) -> tuple[bool, list[tuple[int, int]] | None, int]:
     """Exact t-solvability on a count vector. Returns (solvable, moves, nodes)."""
-    if counts[target] >= t:
-        return True, [], 0
     dist = g.distances_from(target)
+    quick = _quick_moves(g, counts, target, t, dist)
+    if quick is not None:
+        return True, quick, 0
     ecc = max(dist)
     goal = t << ecc
     weights = [1 << (ecc - d) for d in dist]
-
-    # single rich vertex: it sends just the pebbles that pay the toll
-    need = t - counts[target]
-    for v, c in enumerate(counts):
-        if v != target and c >> dist[v] >= need:
-            work = list(counts)
-            work[v] = need << dist[v]
-            moves: list[tuple[int, int]] = []
-            _drain_route(g, work, dist, v, moves)
-            return True, moves, 0
-
-    # greedy
-    work = list(counts)
-    greedy = _greedy_counts(g, work, target, t, dist)
-    if greedy is not None:
-        return True, greedy, 0
 
     # potential cutoff: below t means provably unsolvable
     pot = sum(c * w for c, w in zip(counts, weights))
@@ -910,14 +900,8 @@ def lower_bound(g: Graph) -> tuple[int, list[tuple[Distribution, VertexLabel]]]:
     re-certified by the exact solver."""
     diam = g.diameter()
     value = max(g.n, 1 << diam)
-    far_from = 0
-    dist = g.distances_from(0)
-    for v in range(g.n):
-        dv = g.distances_from(v)
-        if max(dv) == diam:
-            far_from = v
-            dist = dv
-            break
+    far_from = next(v for v in range(g.n) if max(g.distances_from(v)) == diam)
+    dist = g.distances_from(far_from)
     target = g.vertices[far_from]
     far = g.vertices[dist.index(diam)]
     witnesses = []

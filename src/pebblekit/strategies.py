@@ -28,8 +28,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 from functools import lru_cache
 
-from .engine import (Distribution, MoveSequence, _greedy_counts,
-                     _moves_to_sequence, _push_half)
+from .engine import (Distribution, MoveSequence, _moves_to_sequence,
+                     _push_half, _quick_moves)
 from .errors import InvalidParameter, PreconditionNotMet
 from .graphs import (EdgeVertex, Graph, Original, Pair, VertexLabel, _Record,
                      cartesian_product, cycle_u, middle_cycle, path_u,
@@ -572,14 +572,17 @@ def product_collection_strategy(gp: Graph, d: Distribution,
 
 def greedy_solver(g: Graph, d: Distribution, target: VertexLabel,
                   t: int = 1) -> StrategyReport:
-    """Repeatedly move from the richest vertex one step along a shortest
-    path toward the target. Failure is inconclusive, never a proof."""
+    """The exact solver's cheap stages (``engine._quick_moves``): a vertex
+    that pays the toll alone sends only the toll, 2^dist pebbles per pebble
+    owed, along a shortest path; otherwise move repeatedly from the richest
+    vertex one step along a shortest path toward the target. Failure is
+    inconclusive, never a proof."""
     if t < 1:
         raise InvalidParameter(f"t must be >= 1, got {t}")
     ti = g.index_of(target)
     counts = d.vector(g)
-    dist = g.distances_from(ti)
-    moves = _greedy_counts(g, counts, ti, t, dist)
+    moves = _quick_moves(g, counts, ti, t, g.distances_from(ti))
     if moves is None:
         return StrategyReport(False, counts[ti], MoveSequence(), "greedy:stuck")
-    return StrategyReport(True, counts[ti], _moves_to_sequence(g, moves), "greedy")
+    delivered = counts[ti] + sum(b == ti for _, b in moves)
+    return StrategyReport(True, delivered, _moves_to_sequence(g, moves), "greedy")

@@ -329,6 +329,16 @@ def test_out_of_memory_is_inconclusive(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out == "inconclusive: out of memory\n"
 
 
+def test_explain_huge_pile_is_inconclusive(mc4, tmp_path, capsys):
+    # half of 10**30 pebbles pushed one step is a list of moves longer than
+    # an index can hold: an OverflowError, once a traceback and exit 1
+    d = dist_file(tmp_path, {"v2": 10**30})
+    capsys.readouterr()
+    assert run(["explain", "--strategy", "middle-cycle", "--graph", str(mc4),
+                "--dist", str(d), "--target", "v0"]) == 2
+    assert capsys.readouterr().out == "inconclusive: out of memory\n"
+
+
 def test_solve_replay_short_of_t(tmp_path, capsys):
     g = tmp_path / "p2.json"
     assert run(["construct", "path", "--n", "2", "--out", str(g)]) == 0
@@ -403,6 +413,15 @@ def test_explain_greedy(tmp_path, capsys):
     assert run(["explain", "--strategy", "greedy", "--graph", str(g),
                 "--dist", str(d), "--target", "v3"]) == 0
     assert "case: greedy\n" in capsys.readouterr().out
+
+
+def test_explain_greedy_sends_only_the_toll(mc4, tmp_path, capsys):
+    # v2 holds the toll 2^3 to v0 many times over, and sends just the toll
+    d = dist_file(tmp_path, {"v2": 10**30})
+    capsys.readouterr()
+    assert run(["explain", "--strategy", "greedy", "--graph", str(mc4),
+                "--dist", str(d), "--target", "v0"]) == 0
+    assert "delivered 1 pebble(s) to v0 in 7 moves:" in capsys.readouterr().out
 
 
 def test_explain_collect_threshold(tmp_path, capsys):

@@ -14,8 +14,7 @@ import pytest
 import pebblekit
 from pebblekit.engine import (CLOSURE_EVERY, CLOSURE_FIRST, CLOSURE_RATIO, Budget,
                               Distribution, Move,
-                              MoveSequence, SweepCheckpoint, _closure, _drain_route,
-                              _greedy_counts, _solve_counts,
+                              MoveSequence, SweepCheckpoint, _closure, _solve_counts,
                               apply_move, compute_pebbling,
                               is_solvable,
                               lower_bound, potential, replay,
@@ -67,20 +66,39 @@ def recursive_solve_counts(g, counts, target, t, budget=None):
     goal = t << ecc
     weights = [1 << (ecc - d) for d in dist]
 
-    # single rich vertex: it sends just the pebbles that pay the toll
+    def next_hop(v):  # the smallest-index neighbor one step closer
+        return min(w for w in g.neighbors[v] if dist[w] == dist[v] - 1)
+
+    # single rich vertex: it sends just the pebbles that pay the toll,
+    # pushing the floor-half of each pile on its route one step on
     need = t - counts[target]
     for v, c in enumerate(counts):
         if v != target and c >> dist[v] >= need:
             work = list(counts)
             work[v] = need << dist[v]
             moves: list[tuple[int, int]] = []
-            _drain_route(g, work, dist, v, moves)
+            while v != target:
+                w, k = next_hop(v), work[v] // 2
+                work[v] -= 2 * k
+                work[w] += k
+                moves += [(v, w)] * k
+                v = w
             return True, moves, 0
 
-    # greedy
+    # greedy: one move at a time from the richest vertex, ties to the one
+    # nearer the target, then to the lower index
     work = list(counts)
-    greedy = _greedy_counts(g, work, target, t, dist)
-    if greedy is not None:
+    greedy = []
+    while work[target] < t:
+        rich = [v for v in range(len(work)) if v != target and work[v] >= 2]
+        if not rich:
+            break
+        v = max(rich, key=lambda u: (work[u], -dist[u], -u))
+        w = next_hop(v)
+        work[v] -= 2
+        work[w] += 1
+        greedy.append((v, w))
+    else:
         return True, greedy, 0
 
     # potential cutoff: below t means provably unsolvable

@@ -10,6 +10,7 @@ from pebblekit.engine import (Distribution, Move, _layout, apply_move, is_solvab
                               potential, replay, weak_compositions)
 from pebblekit.graphs import (Graph, Original, complete, cycle, middle_cycle,
                               path, trimmed_middle_path)
+from pebblekit.strategies import greedy_solver
 
 from test_engine import closure_to_the_end, closure_yields, recursive_solve_counts
 
@@ -63,6 +64,21 @@ def test_witness_replay_validity(case):
     else:
         # the certificate claim: no single extra check contradicts it
         assert d.get(target) == 0
+
+
+@given(graph_dist_target(), st.integers(1, 3))
+@settings(max_examples=200, deadline=None)
+def test_greedy_runs_the_solvers_shortcuts(case, t):
+    """greedy_solver and the solver share their cheap stages: the greedy
+    succeeds exactly when the solver settles the query with no search node,
+    with the same moves, and reports what its moves deliver."""
+    g, d, target = case
+    rep = greedy_solver(g, d, target, t)
+    outcome = is_solvable(g, d, target, t)
+    assert rep.succeeded == (outcome.solvable and outcome.nodes_explored == 0)
+    if rep.succeeded:
+        assert rep.sequence == outcome.witness
+    assert rep.delivered == replay(g, d, rep.sequence).get(target)
 
 
 @given(graph_dist_target(max_pebbles=4), st.integers(0, 6))

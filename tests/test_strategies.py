@@ -470,6 +470,24 @@ def test_greedy_failure_is_inconclusive():
     assert len(rep.sequence) == 0
 
 
+def test_greedy_sends_only_the_toll_from_a_rich_vertex():
+    # v2 pays the toll 2^3 to v0 alone; it once pushed a pebble at a time,
+    # 571,431 moves in about 1.5 s
+    g, d = middle_cycle(2), Distribution({Original(2): 10**6})
+    rep = greedy_solver(g, d, Original(0))
+    assert rep.succeeded and rep.delivered == 1
+    assert rep.sequence == is_solvable(g, d, Original(0)).witness
+    assert len(rep.sequence) == 7
+
+
+def test_greedy_stuck_reports_what_its_sequence_delivers():
+    # it once reported the pebble its discarded moves had brought to v0
+    g, d = middle_cycle(2), Distribution({Original(2): 10})
+    rep = greedy_solver(g, d, Original(0), 3)
+    assert rep.rationale == "greedy:stuck"
+    assert rep.delivered == replay(g, d, rep.sequence).get(Original(0)) == 0
+
+
 P3 = [Original(1), Original(2), Original(3)]
 
 
