@@ -371,7 +371,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"inconclusive: {exc} ({exc.nodes_explored} nodes explored, "
               f"{exc.elapsed:.2f} s)")
         return EXIT_INCONCLUSIVE
-    except (MemoryError, OverflowError):  # a list too long to index, e.g. of moves
+    except (MemoryError, OverflowError):  # OverflowError: _push_half's [(a, b)] * k
         print("inconclusive: out of memory")
         return EXIT_INCONCLUSIVE
     except PreconditionNotMet as exc:

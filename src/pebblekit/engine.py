@@ -283,25 +283,24 @@ def _push_half(counts: list[int], a: int, b: int,
 
 def _quick_moves(g: Graph, counts: Sequence[int], target: int, t: int,
                  dist: Sequence[int]) -> list[tuple[int, int]] | None:
-    """The solver's cheap stages, in order, on a copy of counts: no moves
-    when the target holds t already; else the first vertex v that can pay
-    the toll alone sends just the toll, need*2^dist(v) pebbles, halving its
-    pile step by step toward the target and absorbing whatever lies on the
-    route; else the richest-vertex-first greedy. None means the greedy got
-    stuck: inconclusive."""
+    """The solver's cheap stages, in order, without mutating counts: no
+    moves when the target holds t already; else the first vertex v that can
+    pay the toll alone sends just the toll, need*2^dist(v) pebbles, along a
+    shortest path, each hop passing on half of what it received and leaving
+    the piles on the route where they are; else the richest-vertex-first
+    greedy. None means the greedy got stuck: inconclusive."""
     need = t - counts[target]
     if need <= 0:
         return []
-    work = list(counts)
     moves: list[tuple[int, int]] = []
     for v, c in enumerate(counts):
         if v != target and c >> dist[v] >= need:
-            work[v] = need << dist[v]
-            while dist[v]:  # every step moves a pebble
+            while dist[v]:
                 nxt = _next_hop(g, dist, v)
-                _push_half(work, v, nxt, moves)
+                moves += [(v, nxt)] * (need << (dist[v] - 1))
                 v = nxt
             return moves
+    work = list(counts)
     while work[target] < t:
         best, best_key = -1, None
         for v in range(len(work)):

@@ -574,9 +574,10 @@ def greedy_solver(g: Graph, d: Distribution, target: VertexLabel,
                   t: int = 1) -> StrategyReport:
     """The exact solver's cheap stages (``engine._quick_moves``): a vertex
     that pays the toll alone sends only the toll, 2^dist pebbles per pebble
-    owed, along a shortest path; otherwise move repeatedly from the richest
-    vertex one step along a shortest path toward the target. Failure is
-    inconclusive, never a proof."""
+    owed, along a shortest path, leaving the piles on the route where they
+    are; otherwise move repeatedly from the richest vertex one step along a
+    shortest path toward the target. Failure is inconclusive, never a
+    proof."""
     if t < 1:
         raise InvalidParameter(f"t must be >= 1, got {t}")
     ti = g.index_of(target)

@@ -331,7 +331,9 @@ def test_out_of_memory_is_inconclusive(tmp_path, capsys, monkeypatch):
 
 def test_explain_huge_pile_is_inconclusive(mc4, tmp_path, capsys):
     # half of 10**30 pebbles pushed one step is a list of moves longer than
-    # an index can hold: an OverflowError, once a traceback and exit 1
+    # an index can hold: an OverflowError, once a traceback and exit 1. Exit
+    # 2 stands while the constructive strategies build one list entry per
+    # move; once they stop, a 7-move answer exists and this test changes.
     d = dist_file(tmp_path, {"v2": 10**30})
     capsys.readouterr()
     assert run(["explain", "--strategy", "middle-cycle", "--graph", str(mc4),
@@ -422,6 +424,18 @@ def test_explain_greedy_sends_only_the_toll(mc4, tmp_path, capsys):
     assert run(["explain", "--strategy", "greedy", "--graph", str(mc4),
                 "--dist", str(d), "--target", "v0"]) == 0
     assert "delivered 1 pebble(s) to v0 in 7 moves:" in capsys.readouterr().out
+
+
+def test_a_rich_route_pile_stays_where_it_is(tmp_path, capsys):
+    # v1 pays the toll to v3 alone and sends just that over v2; pushing on
+    # half of v2's 10**30 pebbles as well once ended in an OverflowError
+    g = tmp_path / "p3.json"
+    assert run(["construct", "path", "--n", "3", "--out", str(g)]) == 0
+    d = dist_file(tmp_path, {"v1": 4, "v2": 10**30})
+    for cmd in (["solve"], ["explain", "--strategy", "greedy"]):
+        capsys.readouterr()
+        assert run([*cmd, "--graph", str(g), "--dist", str(d), "--target", "v3"]) == 0
+        assert " 3 moves" in capsys.readouterr().out, cmd
 
 
 def test_explain_collect_threshold(tmp_path, capsys):

@@ -69,19 +69,16 @@ def recursive_solve_counts(g, counts, target, t, budget=None):
     def next_hop(v):  # the smallest-index neighbor one step closer
         return min(w for w in g.neighbors[v] if dist[w] == dist[v] - 1)
 
-    # single rich vertex: it sends just the pebbles that pay the toll,
-    # pushing the floor-half of each pile on its route one step on
+    # single rich vertex: it sends just the pebbles that pay the toll, each
+    # hop passing on half of what reached it; route piles stay where they are
     need = t - counts[target]
     for v, c in enumerate(counts):
         if v != target and c >> dist[v] >= need:
-            work = list(counts)
-            work[v] = need << dist[v]
             moves: list[tuple[int, int]] = []
+            sent = need << dist[v]
             while v != target:
-                w, k = next_hop(v), work[v] // 2
-                work[v] -= 2 * k
-                work[w] += k
-                moves += [(v, w)] * k
+                w, sent = next_hop(v), sent // 2
+                moves += [(v, w)] * sent
                 v = w
             return True, moves, 0
 

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from pebblekit.engine import Distribution, is_solvable, replay, weak_compositions
+from pebblekit.engine import Distribution, Move, is_solvable, replay, weak_compositions
 from pebblekit.errors import InvalidParameter, PreconditionNotMet, UnknownVertex
 from pebblekit.graphs import (EdgeVertex, Graph, Original, Pair,
                               cartesian_product, cycle_u, middle_cycle, path,
@@ -486,6 +486,19 @@ def test_greedy_stuck_reports_what_its_sequence_delivers():
     rep = greedy_solver(g, d, Original(0), 3)
     assert rep.rationale == "greedy:stuck"
     assert rep.delivered == replay(g, d, rep.sequence).get(Original(0)) == 0
+
+
+def test_a_rich_route_pile_stays_where_it_is():
+    # v1 pays the toll to v3 alone: two moves to v2 and one on, leaving v2's
+    # own pile where it is; halving v2's pile on as well once sent half of
+    # 10**30 pebbles a move at a time, an OverflowError
+    g = path(3)
+    d = Distribution({Original(1): 4, Original(2): 10**30})
+    witness = [Move(Original(1), Original(2))] * 2 + [Move(Original(2), Original(3))]
+    out = is_solvable(g, d, Original(3))
+    assert out.solvable and list(out.witness) == witness
+    rep = greedy_solver(g, d, Original(3))
+    assert rep.succeeded and rep.sequence == out.witness and rep.delivered == 1
 
 
 P3 = [Original(1), Original(2), Original(3)]
