@@ -4,23 +4,23 @@ The solver decides t-solvability by depth-first search over distributions
 with a transposition table, after a stack of cheap checks. The first
 three, ``_quick_moves``, are shared with ``strategies.greedy_solver``:
 target already covered, a single vertex rich enough to pay the full 2^d
-toll alone (it sends just the toll), and a greedy run; the last is the
-exact-rational potential cutoff. The search runs on an
-explicit stack, so no input can exhaust Python's recursion limit. States
-are count vectors packed into ints, and every move carries precomputed
-changes to the packed key and to the potential, so a search node costs a
-few integer operations instead of rebuilding either from the vector.
-Beside the search runs a refutation, ``_closure``, that grows the states
-reachable from the root level by level, skipping a state dominated by one
-of the level before or of the level being expanded, and so can end an
-unsolvable search early. It is an iterator that paces itself: the search
-calls next() on it first at its ``CLOSURE_FIRST``-th node and then every
-``CLOSURE_EVERY`` nodes, and each call generates ``CLOSURE_RATIO`` times
-``CLOSURE_EVERY`` more closure nodes (``_solve_counts`` says what it does
-with the answer). Verdicts, witnesses and budget stops are the search's
-alone; an unsolvable verdict the closure settles counts the larger of the
-search's nodes so far and the closure's, which is at most the search's own
-count.
+toll alone (it sends just the toll), and a greedy run, every move one hop
+along ``Graph.hops_toward``; the last is the exact-rational potential
+cutoff. The search runs on an explicit stack, so no input can exhaust
+Python's recursion limit. States are count vectors packed into ints, and
+every move carries precomputed changes to the packed key and to the
+potential, so a search node costs a few integer operations instead of
+rebuilding either from the vector. Beside the search runs a refutation,
+``_closure``, that grows the states reachable from the root level by
+level, skipping a state dominated by one of the level before or of the
+level being expanded, and so can end an unsolvable search early. It is an
+iterator that paces itself: the search calls next() on it first at its
+``CLOSURE_FIRST``-th node and then every ``CLOSURE_EVERY`` nodes, and each
+call generates ``CLOSURE_RATIO`` times ``CLOSURE_EVERY`` more closure
+nodes (``_solve_counts`` says what it does with the answer). Verdicts,
+witnesses and budget stops are the search's alone; an unsolvable verdict
+the closure settles counts the larger of the search's nodes so far and the
+closure's, which is at most the search's own count.
 
 Pebbling and t-pebbling numbers come from a dynamic program over the
 unsolvable distributions (``_downset_dp``), not from the solver, so the
@@ -262,14 +262,6 @@ class SolveOutcome(_Record):
         self.solvable, self.witness, self.nodes_explored = solvable, witness, nodes_explored
 
 
-def _next_hop(g: Graph, dist: Sequence[int], v: int) -> int:
-    # deterministic: smallest-index neighbor strictly closer to the target
-    for w in g.neighbors[v]:
-        if dist[w] == dist[v] - 1:
-            return w
-    raise AssertionError("BFS distances inconsistent")
-
-
 def _push_half(counts: list[int], a: int, b: int,
                moves: list[tuple[int, int]]) -> None:
     """Move the floor-half of a's pile one step to b: floor(p/2) moves a -> b.
@@ -285,20 +277,20 @@ def _quick_moves(g: Graph, counts: Sequence[int], target: int, t: int,
                  dist: Sequence[int]) -> list[tuple[int, int]] | None:
     """The solver's cheap stages, in order, without mutating counts: no
     moves when the target holds t already; else the first vertex v that can
-    pay the toll alone sends just the toll, need*2^dist(v) pebbles, along a
-    shortest path, each hop passing on half of what it received and leaving
-    the piles on the route where they are; else the richest-vertex-first
-    greedy. None means the greedy got stuck: inconclusive."""
+    pay the toll alone sends just the toll, need*2^dist(v) pebbles, along
+    ``Graph.hops_toward``, each hop passing on half of what it received and
+    leaving the piles on the route where they are; else the greedy, richest
+    vertex first, one hop per move. None means it got stuck: inconclusive."""
     need = t - counts[target]
     if need <= 0:
         return []
+    hop = g.hops_toward(target)
     moves: list[tuple[int, int]] = []
     for v, c in enumerate(counts):
         if v != target and c >> dist[v] >= need:
             while dist[v]:
-                nxt = _next_hop(g, dist, v)
-                moves += [(v, nxt)] * (need << (dist[v] - 1))
-                v = nxt
+                moves += [(v, hop[v])] * (need << (dist[v] - 1))
+                v = hop[v]
             return moves
     work = list(counts)
     while work[target] < t:
@@ -310,15 +302,13 @@ def _quick_moves(g: Graph, counts: Sequence[int], target: int, t: int,
                     best_key, best = key, v
         if best < 0:
             return None
-        nxt = _next_hop(g, dist, best)
         work[best] -= 2
-        work[nxt] += 1
-        moves.append((best, nxt))
+        work[hop[best]] += 1
+        moves.append((best, hop[best]))
     return moves
 
 
-def _layout(dist: Sequence[int], t: int,
-            root: Sequence[int] = ()) -> tuple[list[int], list[int]]:
+def _layout(dist: Sequence[int], t: int) -> tuple[list[int], list[int]]:
     """Field widths and offsets of a distribution packed into an int by the
     down-set DP and the closure: vertex v in bits [shift_v, shift_v + width_v),
     in vertex order, so the last vertex is the most significant and integer
@@ -329,23 +319,17 @@ def _layout(dist: Sequence[int], t: int,
     No key either forms carries out of a field, by the toll lemma: a vertex
     v holding t*2^dist(v) pebbles pays the toll of t pebbles on the target
     alone (for the target, t pebbles already there), so a distribution the DP
-    keeps (unsolvable) or the closure expands (no rich vertex found) holds
-    at most t*2^dist(v) - 1 on every v. A DP candidate adds one pebble to
-    such a member and its stuck test's child one more; a closure child and
-    its ``over`` key add one to an expanded distribution and its ``up`` key
-    two. So no field a key forms exceeds t*2^dist(v) + 1, every key is the
-    exact packing of its count vector, and no move needs an overflow test.
+    keeps (unsolvable) or the closure expands (no rich vertex found on it or
+    its root) holds at most t*2^dist(v) - 1 on every v. A DP candidate adds
+    one pebble to such a member and its stuck test's child one more; a
+    closure child and its ``over`` key add one to an expanded distribution
+    and its ``up`` key two. So no field a key forms exceeds t*2^dist(v) + 1,
+    every key is the exact packing of its count vector, and no move needs an
+    overflow test.
     A key past the members' range names a solvable distribution, so it is
     in no level, and a lookup answers as for any other non-member.
-
-    A closure ``root`` passed in directly may hold more than that on a
-    vertex (the solver's rich-vertex shortcut settles such roots first);
-    its field then widens to hold the root's count plus 2, all that keys
-    formed before the closure finds that vertex rich add to it.
     """
     widths = [((t << d) + 1).bit_length() for d in dist]
-    for v, c in enumerate(root):
-        widths[v] = max(widths[v], (c + 2).bit_length())
     return widths, list(accumulate(widths[:-1], initial=0))
 
 
@@ -363,12 +347,12 @@ def _closure(g: Graph, counts: list[int], target: int, t: int, dist: Sequence[in
     counts one level at a time, level j being those j moves away.
 
     Every move removes exactly one pebble, so each distribution sits in one
-    level. Keys are packed by ``_layout`` with fields widened for the
-    root, and the rich vertices of a distribution are walked with a
-    ``high`` mask, as in ``_downset_dp``, the target's field left out
-    because the target is never a source. Every distinct child of an
-    expanded distribution is a node, children below the potential goal
-    included, and only those at or above the goal are expanded.
+    level. Keys are packed by ``_layout``, and the rich vertices of a
+    distribution are walked with a ``high`` mask, as in ``_downset_dp``,
+    the target's field left out because the target is never a source.
+    Every distinct child of an expanded distribution is a node, children
+    below the potential goal included, and only those at or above the goal
+    are expanded.
 
     A child is pruned when a distribution kept in the level before,
     ``before``, or in the level being expanded, ``level``, dominates it.
@@ -400,11 +384,17 @@ def _closure(g: Graph, counts: list[int], target: int, t: int, dist: Sequence[in
     last yield is (nodes, True) when no level is left (unsolvable), or
     (None, True) when a rich vertex can pay the whole toll alone,
     c >> dist[v] >= t - c_target, which also covers every move that brings
-    the target to t; then it ends. It knows no budget: the search that
-    resumes it checks caps and deadlines.
+    the target to t; then it ends. A root with such a vertex, the test
+    ``_quick_moves`` applies, yields (None, True) at once, before any key is
+    packed. It knows no budget: the search that resumes it checks caps and
+    deadlines.
     """
     n = len(counts)
-    widths, shifts = _layout(dist, t, counts)
+    if any(c >> d >= t - counts[target] for v, (c, d) in enumerate(zip(counts, dist))
+           if v != target):
+        yield None, True
+        return
+    widths, shifts = _layout(dist, t)
     units = [1 << s for s in shifts]
     fields = [((1 << w) - 1) << s for w, s in zip(widths, shifts)]
     high = sum(f - e for v, (f, e) in enumerate(zip(fields, units)) if v != target)

@@ -5,8 +5,9 @@ same named vertices the constructions use: ``Original(i)`` is an original
 vertex v_i, ``EdgeVertex(i, j)`` is the vertex inserted into the edge
 {v_i, v_j} of a middle graph, and ``Pair(a, b)`` is a Cartesian-product
 vertex. Every constructor output is connected, and graphs are immutable:
-``middle_cycle``, ``trimmed_middle_path`` and ``cartesian_product`` return
-one graph per argument, shared by every caller that builds it.
+``middle_cycle`` and ``trimmed_middle_path`` return one graph per size and
+``cartesian_product`` one per pair of its 16 most recent, each shared by
+every caller that builds it, cached distance and hop tables included.
 
 Index conventions: cycles are 0-based (v_0 ... v_{n-1}), paths are 1-based
 (v_1 ... v_n).
@@ -18,7 +19,7 @@ import json
 import re
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
-from functools import lru_cache, total_ordering
+from functools import cache, lru_cache, total_ordering
 from itertools import combinations
 
 from .errors import INT, DisconnectedGraph, InvalidParameter, UnknownVertex
@@ -192,7 +193,8 @@ class Graph:
     read the distances from a vertex to every vertex.
     """
 
-    __slots__ = ("vertices", "_index", "neighbors", "_edge_set", "_dist_cache", "_diameter")
+    __slots__ = ("vertices", "_index", "neighbors", "_edge_set", "_dist_cache", "_hop_cache",
+                 "_diameter")
 
     def __init__(self, vertices: Sequence[VertexLabel], edges: Iterable[tuple[int, int]]):
         self.vertices: tuple[VertexLabel, ...] = tuple(vertices)
@@ -218,6 +220,7 @@ class Graph:
         self.neighbors: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(ns)) for ns in adj)
         self._edge_set = frozenset(edge_set)
         self._dist_cache: dict[int, tuple[int, ...]] = {}
+        self._hop_cache: dict[int, tuple[int, ...]] = {}
         self._diameter: int | None = None
         if -1 in self.distances_from(0):
             raise DisconnectedGraph("graph is not connected")
@@ -272,6 +275,17 @@ class Graph:
         result = tuple(dist)
         self._dist_cache[idx] = result
         return result
+
+    def hops_toward(self, r: int) -> tuple[int, ...]:
+        """Per vertex index, its smallest-index neighbor one step closer to
+        vertex r, and -1 at r (cached): the one shortest-path step that the
+        solver's shortcuts, the strategies and the automorphism search take."""
+        hop = self._hop_cache.get(r)
+        if hop is None:
+            dist = self.distances_from(r)
+            hop = self._hop_cache[r] = tuple(next((w for w in ns if dist[w] < dist[v]), -1)
+                                              for v, ns in enumerate(self.neighbors))
+        return hop
 
     def distance(self, a: VertexLabel, b: VertexLabel) -> int:
         return self.distances_from(self.index_of(a))[self.index_of(b)]
@@ -393,7 +407,7 @@ def delete_vertices(g: Graph, labels: Iterable[VertexLabel]) -> Graph:
             f"deleting {sorted(map(str, drop))} disconnects the graph") from None
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=16)  # bounded: its keys are whole graphs, not sizes
 def cartesian_product(g: Graph, h: Graph) -> Graph:
     """Cartesian product: (a,b) ~ (c,d) iff a=c and b~d, or a~c and b=d."""
     verts = [Pair(ga, hb) for ga in g.vertices for hb in h.vertices]
@@ -412,7 +426,7 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
 # Named families from the strategy work
 
 
-@lru_cache(maxsize=16)
+@cache
 def middle_cycle(n: int) -> Graph:
     """M(C_{2n}): originals v_0..v_{2n-1} plus u_i inserted into v_i v_{i+1}."""
     if n < 2:
@@ -420,7 +434,7 @@ def middle_cycle(n: int) -> Graph:
     return middle_graph(cycle(2 * n))
 
 
-@lru_cache(maxsize=32)
+@cache
 def trimmed_middle_path(n: int) -> Graph:
     """M(P_n) - {v_1, v_n}: spine u_1..u_{n-1} plus originals v_2..v_{n-1}."""
     if n < 3:
@@ -437,11 +451,11 @@ def automorphism_taking(g: Graph, a: int, b: int) -> tuple[int, ...] | None:
     carries the edge set onto itself; None when the search finds none.
 
     Backtracking over the vertices in BFS order from a: each vertex goes to
-    an unused neighbour of its BFS parent's image, of the same degree and at
-    the same distance from the image of every vertex already placed as it is
-    from that vertex. The search gives up after a few placements per vertex,
-    so None means no map was found, not that none exists. A complete
-    assignment is checked edge by edge before it is returned.
+    an unused neighbour of its BFS parent's image (``hops_toward(a)``), of the
+    same degree and at the same distance from the image of every vertex
+    already placed as it is from that vertex. The search gives up after a few
+    placements per vertex, so None means no map was found, not that none
+    exists. A complete assignment is checked edge by edge before it is returned.
     """
     n, nbrs = g.n, g.neighbors
     da, db = g.distances_from(a), g.distances_from(b)
@@ -449,7 +463,7 @@ def automorphism_taking(g: Graph, a: int, b: int) -> tuple[int, ...] | None:
     if sorted(zip(da, degree)) != sorted(zip(db, degree)):
         return None
     order = sorted(range(n), key=lambda v: (da[v], v))
-    parent = [next(w for w in nbrs[v] if da[w] == da[v] - 1) for v in order[1:]]
+    hop = g.hops_toward(a)
     dist = [g.distances_from(v) for v in range(n)]
     perm = [-1] * n
     used = [False] * n
@@ -458,7 +472,7 @@ def automorphism_taking(g: Graph, a: int, b: int) -> tuple[int, ...] | None:
     def candidates(i: int) -> Iterator[int]:
         v, placed = order[i], order[:i]
         dv = dist[v]
-        for w in nbrs[perm[parent[i - 1]]]:
+        for w in nbrs[perm[hop[v]]]:
             if not used[w] and degree[w] == degree[v]:
                 dw = dist[w]
                 if all(dv[u] == dw[perm[u]] for u in placed):

@@ -14,8 +14,9 @@ M(C_2n), a product fiber) runs on its own count vector in its own frame,
 and its moves come back to the caller through one index map, frame index
 to caller index; one runner, ``_in_frame``, does both. Each frame is
 computed by index arithmetic on the family's u/v index tables
-(``_tmp_tables``, ``_mc_tables``). Labels appear only where a public function reads its
-distribution and target and builds its report.
+(``_tmp_tables``, ``_mc_tables``); a donation moves one hop toward the
+target (``Graph.hops_toward``). Labels appear only where a public function
+reads its distribution and target and builds its report.
 
 Weight bookkeeping convention for a path v_1..v_n with target v_k: a
 pebble on v_i weighs 2^(i-1) on the left side and 2^(n-j) on v_j on the
@@ -26,7 +27,7 @@ half its weight, so weight >= t * 2^(distance scale) pays for t arrivals.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from functools import lru_cache
+from functools import cache
 
 from .engine import (Distribution, MoveSequence, _moves_to_sequence,
                      _push_half, _quick_moves)
@@ -184,7 +185,7 @@ def collect_on_path(ctx: PathContext, t: int) -> StrategyReport:
 # Trimmed middle path of P_n: spine u_1..u_{n-1}, originals v_2..v_{n-1}
 
 
-@lru_cache(maxsize=32)
+@cache
 def _tmp_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(u_index, v_index) lookup tables; v table is 1-based with -1 gaps."""
     g = trimmed_middle_path(n)
@@ -193,7 +194,7 @@ def _tmp_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return (-1,) + u, v  # 1-based u table
 
 
-@lru_cache(maxsize=64)
+@cache
 def _tmp_mirror(n: int) -> tuple[int, ...]:
     """Index map of the end-swapping symmetry: v_m <-> v_{n+1-m},
     u_i <-> u_{n-i}."""
@@ -212,30 +213,25 @@ def _tmp_solve(n: int, counts: list[int], target: int,
     counts, appends moves, returns a case tag."""
     u, v = _tmp_tables(n)
     spine = u[1:]
-
-    if target in u:
-        k = u.index(target)
-        if counts[u[k]] >= 1:
-            return "u-target:already"
-        # every original donates its floor-half toward the target's side
-        for m in range(2, n):
-            _push_half(counts, v[m], u[m] if m <= k else u[m - 1], moves)
-        if counts[u[k]] >= 1:
-            return "u-target:donated"
-        _collect_indices(counts, spine, k, 1, moves)
-        return "u-target:spine"
-
-    k = v.index(target)
-    if counts[v[k]] >= 1:
-        return "v-target:already"
-    if 2 * k < n + 1:
+    kind = "u-target" if target in u else "v-target"
+    if counts[target] >= 1:
+        return f"{kind}:already"
+    k = v.index(target) if kind == "v-target" else u.index(target)
+    if kind == "v-target" and 2 * k < n + 1:
         # mirror so the left side is the long one
         frame = _tmp_mirror(n)
         return _in_frame(counts, frame, [counts[i] for i in frame], moves,
                          _tmp_solve, n, v[n + 1 - k])
-    for m in range(2, n):
-        if m != k:
-            _push_half(counts, v[m], u[m] if m < k else u[m - 1], moves)
+    # every other original donates its floor-half one hop toward the target
+    hop = trimmed_middle_path(n).hops_toward(target)
+    for x in v[2:n]:
+        if x != target:
+            _push_half(counts, x, hop[x], moves)
+    if kind == "u-target":
+        if counts[target] >= 1:
+            return "u-target:donated"
+        _collect_indices(counts, spine, k, 1, moves)
+        return "u-target:spine"
     # v_k is reachable from either spine neighbor; two pebbles on one of
     # them pay for the last hop. The written argument only considers
     # u_{k-1}, which leaves a one-pebble integrality gap at the midpoint
@@ -302,7 +298,7 @@ def tmp_pebbling_bound(n: int) -> int:
 # Middle graph of the even cycle C_{2n}
 
 
-@lru_cache(maxsize=16)
+@cache
 def _mc_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     g = middle_cycle(n)
     two_n = 2 * n
@@ -311,7 +307,7 @@ def _mc_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return u, v
 
 
-@lru_cache(maxsize=128)
+@cache
 def _mc_perm(n: int, s: int, a: int) -> tuple[int, ...]:
     """Index map of the dihedral symmetry v_i -> v_{s*i+a} of M(C_{2n}),
     s = +-1. It sends u_i -> u_{i+a}, or u_{a-1-i} when it reflects (the
@@ -325,7 +321,7 @@ def _mc_perm(n: int, s: int, a: int) -> tuple[int, ...]:
     return tuple(frame)
 
 
-@lru_cache(maxsize=32)
+@cache
 def _mc_half_frame(n: int, use_b: bool) -> tuple[int, ...]:
     """Index map from M(P_{n+2}) - {v_1, v_{n+2}} onto a half of M(C_{2n}):
     u_j -> u_{j-1} and v_j -> v_{j-1}, so the spine end u_1 lands on u_0.
@@ -347,24 +343,22 @@ def _mc_half_frame(n: int, use_b: bool) -> tuple[int, ...]:
 def _mc_u_spine(n: int, counts: list[int], t: int,
                 moves: list[tuple[int, int]]) -> str:
     """Finish a u_0 target along the spine cycle of edge vertices: donate
-    every original toward u_0, then harvest the heavier half-spine. The
-    two half weights add to at least twice the spine pile, so the heavier
-    one always pays for the remaining pebbles."""
+    every original one hop toward u_0, then harvest the heavier half-spine.
+    The two half weights add to at least twice the spine pile, so the
+    heavier one always pays for the remaining pebbles."""
     u, v = _mc_tables(n)
-    two_n = 2 * n
-    for i in range(two_n):
-        dest = u[0] if i in (0, 1) else (u[i - 1] if i <= n else u[i])
-        _push_half(counts, v[i], dest, moves)
+    hop = middle_cycle(n).hops_toward(u[0])
+    for x in v:
+        _push_half(counts, x, hop[x], moves)
     need = t - counts[u[0]]
     if need <= 0:
         return "u-target:donated"
     side_a = [u[i] for i in range(n, 0, -1)] + [u[0]]
-    side_b = [u[i] for i in range(n, two_n)] + [u[0]]
-    w_a = sum(counts[u[i]] << (n - i) for i in range(1, n + 1))
-    w_b = sum(counts[u[i]] << (i - n) for i in range(n, two_n))
-    # w_a and w_b are the chain weights _collect_indices tests against
-    # need << n, so when the heavier side fails the lighter one fails too
-    side = side_a if w_a >= w_b else side_b
+    side_b = [u[i] for i in range(n, 2 * n)] + [u[0]]
+    # the chain weight _collect_indices tests against need << n, so when the
+    # heavier side fails the lighter one fails too; on a tie side A runs
+    side = max(side_a, side_b,
+               key=lambda chain: _side_weights([counts[i] for i in chain], n + 1)[0])
     _collect_indices(counts, side, len(side), need, moves)
     return "u-target:spine"
 
@@ -430,8 +424,9 @@ def _mc_v0_oriented(n: int, counts: list[int], need: int,
         tag = "v-target:q-large"
     else:
         tag = "v-target:topup"
-        for j in range(1, n):
-            _push_half(counts, v[j], u[j - 1], moves)
+        hop = middle_cycle(n).hops_toward(v[0])
+        for x in v[1:n]:
+            _push_half(counts, x, hop[x], moves)
     _collect_indices(counts, spine_l, len(spine_l), need, moves)
     return tag
 

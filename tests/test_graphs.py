@@ -121,6 +121,11 @@ def test_family_constructors_share_one_graph_per_argument():
     assert trimmed_middle_path(5) is trimmed_middle_path(5)
     gl = middle_cycle(2)
     assert cartesian_product(gl, gl) is cartesian_product(middle_cycle(2), gl)
+    # the sharing holds however many other sizes are built in between
+    gp = trimmed_middle_path(3)
+    for k in range(3, 41):
+        middle_cycle(k), trimmed_middle_path(k + 1)
+    assert middle_cycle(2) is gl and trimmed_middle_path(3) is gp
 
 
 def test_a_graph_without_vertices_is_rejected():

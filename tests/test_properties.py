@@ -143,9 +143,8 @@ def test_the_layout_never_carries_and_keeps_colex_order(case, extra):
     most t*2^dist(v) - 1 on v, and a key the DP or the closure forms from
     one at most t*2^dist(v) + 1. Every count vector up to that packs and
     unpacks to itself (the largest of them included), and packed integer
-    order is colex order. A closure root holding more than its toll on one
-    vertex widens that field, so it and every key formed from it pack
-    exactly, and the closure finds the vertex rich."""
+    order is colex order. A closure root holding its toll or more on one
+    vertex is found rich before anything is packed."""
     g, t, ti, a, b = case
     dist = g.distances_from(ti)
     widths, shifts = _layout(dist, t)
@@ -157,12 +156,21 @@ def test_the_layout_never_carries_and_keeps_colex_order(case, extra):
     root = list(a)
     root[ti] = min(root[ti], t - 1)
     root[v] = (t << dist[v]) + extra
-    widths, shifts = _layout(dist, t, root)
-    for add in (0, 1, 2):
-        vec = list(root)
-        vec[v] += add
-        assert unpack(pack(vec, shifts), widths, shifts) == vec
     assert closure_yields(g, root, ti, t) == [(None, True)]
+
+
+@given(st.sampled_from(POOL))
+@settings(max_examples=20, deadline=None)
+def test_hops_toward_takes_the_smallest_closer_neighbor(g):
+    """At every target r: -1 at r, and elsewhere the smallest-index neighbor
+    one step closer to r; the table is cached, one object per target."""
+    for r in range(g.n):
+        dist, hop = g.distances_from(r), g.hops_toward(r)
+        assert hop[r] == -1 and g.hops_toward(r) is hop
+        for v in range(g.n):
+            if v != r:
+                assert g.has_edge(v, hop[v]) and dist[hop[v]] == dist[v] - 1
+                assert all(dist[w] >= dist[v] for w in g.neighbors[v] if w < hop[v])
 
 
 @given(graph_dist_target())
